@@ -37,13 +37,14 @@ int main() {
     const double lo = (level - 4) * quantizer.step();
     const double hi = (level - 3) * quantizer.step();
     std::string range;
+    const std::string lo_text = util::format_double(lo, 2);
+    const std::string hi_text = util::format_double(hi, 2);
     if (level == 0) {
-      range = "(-inf, " + util::format_double(hi, 2) + ")";
+      range = "(-inf, " + hi_text + ")";
     } else if (level == quantizer.levels() - 1) {
-      range = "[" + util::format_double(lo, 2) + ", +inf)";
+      range = "[" + lo_text + ", +inf)";
     } else {
-      range = "[" + util::format_double(lo, 2) + ", " +
-              util::format_double(hi, 2) + ")";
+      range = "[" + lo_text + ", " + hi_text + ")";
     }
     levels.add_row({range, std::to_string(level),
                     std::to_string(quantizer.branch_metric(level, 0)),

@@ -132,7 +132,8 @@ int run_client_batch(net::DesignClient& client,
             << " query(ies) over the socket...\n\n";
   std::vector<std::string> ids;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const std::string id = "q" + std::to_string(i + 1);
+    std::string id = "q";
+    id += std::to_string(i + 1);
     client.send_query(id, batch[i]);
     ids.push_back(id);
   }

@@ -1,24 +1,31 @@
 // State-parallel and frame-parallel decoder kernels with runtime ISA
 // dispatch. The decode hot path (Section 3.2's add-compare-select recursion)
-// operates on the flat structure-of-arrays trellis view
-// (`Trellis::pred_states` / `pred_symbols`) and per-step branch-metric
-// tables, so one trellis step is a pure data-parallel butterfly update over
-// all states. This layer provides that update as free-function kernels in
-// four implementations — a portable scalar reference, SSE4.2, AVX2, and
-// AVX-512 — selected once at startup by CPUID (overridable via
-// METACORE_SIMD=scalar|sse4|avx2|avx512, or programmatically via force_isa
-// for tests and benchmarks). Every implementation is bit-identical to the
-// scalar reference: same compare-select tie-breaking (ties toward
-// predecessor branch 0), same first-minimum semantics for the traceback
-// start state, same survivor bytes.
+// runs on the flat structure-of-arrays trellis view (`Trellis::pred_states`
+// / `pred_symbols`) and per-step branch-metric tables, so one trellis step
+// is a data-parallel butterfly update. Five kernels (int32 and double ACS,
+// each state-parallel and frame-parallel, plus batch quantization) exist in
+// four tiers: the scalar reference, SSE4.2, AVX2 and AVX-512, selected once
+// by CPUID (or METACORE_SIMD=scalar|sse4|avx2|avx512, or force_isa). Every
+// tier is bit-identical to the scalar reference: ties go to predecessor
+// branch 0, the traceback start is the first minimum state, and a NaN
+// quantizer input lands on the top level.
+//
+// The vector tiers share one source: vector_kernels.hpp writes each kernel
+// once over GCC vector extensions, templated on register width, and
+// tier_sse4.cpp / tier_avx2.cpp / tier_avx512.cpp instantiate it at 16 / 32
+// / 64 bytes under -msse4.2 / -mavx2 / -mavx512f, exporting one
+// detail::KernelTable each. That header keeps everything in an anonymous
+// namespace and calls no inline library function, so no code built above
+// the x86-64 baseline can leak to baseline callers.
 //
 // Two parallelization axes are provided:
 //  * State-parallel kernels vectorize one frame's trellis step across its
 //    states (gathered table reads; saturate only at large K).
 //  * Frame-parallel kernels vectorize one state's update across L
-//    *independent frames* whose path metrics are interleaved lane-major
-//    (`acc[state * lanes + lane]`), so every vector load is contiguous and
-//    small-K trellises still fill the vector width. See comm/frame_decode.hpp.
+//    *independent frames* interleaved lane-major (`acc[state * lanes +
+//    lane]`), so every load is contiguous and small-K trellises still fill
+//    the vector. Lanes run in chunks of the register width W, then W/2,
+//    down to 1. See comm/frame_decode.hpp.
 #pragma once
 
 #include <cstddef>
@@ -32,9 +39,9 @@ enum class Isa : std::uint8_t { Scalar = 0, Sse4 = 1, Avx2 = 2, Avx512 = 3 };
 
 std::string to_string(Isa isa);
 
-/// True when the kernel TUs for `isa` were compiled into this binary (the
-/// SSE4.2/AVX2/AVX-512 TUs are ISA-guarded in CMake and absent on non-x86
-/// builds or with compilers lacking the -m flags).
+/// True when the kernel tier `isa` was compiled into this binary (the
+/// SSE4.2/AVX2/AVX-512 tier TUs are ISA-guarded in CMake and absent on
+/// non-x86 builds or with compilers lacking the -m flags).
 bool isa_compiled(Isa isa);
 
 /// True when `isa` is compiled in AND the running CPU supports it; Scalar
@@ -56,8 +63,9 @@ void force_isa(Isa isa);
 /// Natural frame-lane count for a tier: the number of int32 path metrics
 /// one vector register holds (scalar/SSE4.2: 4, AVX2: 8, AVX-512: 16). The
 /// frame-parallel decoders use this as the default lane count; any lane
-/// count >= 1 is legal on every tier (vector-width chunks plus a scalar
-/// tail), and the decoded output is lane-count-invariant by construction.
+/// count >= 1 is legal on every tier (chunks of the register width, then
+/// half of it, down to one lane), and the decoded output is
+/// lane-count-invariant by construction.
 std::size_t natural_frame_lanes(Isa isa);
 
 /// Result of one full ACS step: the running minimum over the updated path
@@ -151,9 +159,26 @@ FrameMultiresAcsFn frame_multires_acs(Isa isa);
 QuantizeBlockFn quantize_block(Isa isa);
 
 namespace detail {
-// Kernel entry points per tier. The scalar reference is always compiled;
-// the SSE4.2/AVX2/AVX-512 TUs exist only when CMake enabled them (the
-// METACORE_SIMD_HAVE_* macros gate the dispatch table, never the callers).
+/// One tier's kernels. Every compiled tier exports one table; the
+/// dispatcher swaps a single pointer between them.
+struct KernelTable {
+  Isa isa;
+  ViterbiAcsFn viterbi;
+  MultiresAcsFn multires;
+  FrameViterbiAcsFn frame_viterbi;
+  FrameMultiresAcsFn frame_multires;
+  QuantizeBlockFn quantize;
+};
+
+// The scalar tier (acs_scalar.cpp, frame_scalar.cpp) is always compiled.
+// The vector tiers (vector_kernels.hpp instantiated by tier_sse4.cpp,
+// tier_avx2.cpp, tier_avx512.cpp) exist only when CMake enabled them; the
+// METACORE_SIMD_HAVE_* macros gate the dispatcher, never the callers.
+extern const KernelTable scalar_kernels;
+extern const KernelTable sse4_kernels;
+extern const KernelTable avx2_kernels;
+extern const KernelTable avx512_kernels;
+
 AcsStepResult viterbi_acs_scalar(const std::int32_t* acc,
                                  std::int32_t* next_acc,
                                  const std::uint32_t* pred_state,
@@ -179,100 +204,6 @@ void frame_viterbi_acs_scalar(const std::int32_t* acc, std::int32_t* next_acc,
                               std::int32_t* best_metric,
                               std::uint32_t* best_state);
 void frame_multires_acs_scalar(const double* acc, double* next_acc,
-                               const std::uint32_t* pred_state,
-                               const std::uint32_t* pred_symbols,
-                               const double* scaled_metric_by_pattern,
-                               std::uint8_t* survivor_row,
-                               double* winning_scaled_metric,
-                               std::size_t num_states, std::size_t lanes);
-
-AcsStepResult viterbi_acs_sse4(const std::int32_t* acc, std::int32_t* next_acc,
-                               const std::uint32_t* pred_state,
-                               const std::uint32_t* pred_symbols,
-                               const std::int32_t* metric_by_pattern,
-                               std::uint8_t* survivor_row,
-                               std::size_t num_states);
-void multires_acs_sse4(const double* acc, double* next_acc,
-                       const std::uint32_t* pred_state,
-                       const std::uint32_t* pred_symbols,
-                       const double* scaled_metric_by_pattern,
-                       std::uint8_t* survivor_row,
-                       double* winning_scaled_metric,
-                       std::size_t num_states);
-void quantize_block_sse4(const double* rx, int* out, std::size_t count,
-                         double step, double offset, int max_level);
-void frame_viterbi_acs_sse4(const std::int32_t* acc, std::int32_t* next_acc,
-                            const std::uint32_t* pred_state,
-                            const std::uint32_t* pred_symbols,
-                            const std::int32_t* metric_by_pattern,
-                            std::uint8_t* survivor_row,
-                            std::size_t num_states, std::size_t lanes,
-                            std::int32_t* best_metric,
-                            std::uint32_t* best_state);
-void frame_multires_acs_sse4(const double* acc, double* next_acc,
-                             const std::uint32_t* pred_state,
-                             const std::uint32_t* pred_symbols,
-                             const double* scaled_metric_by_pattern,
-                             std::uint8_t* survivor_row,
-                             double* winning_scaled_metric,
-                             std::size_t num_states, std::size_t lanes);
-
-AcsStepResult viterbi_acs_avx2(const std::int32_t* acc, std::int32_t* next_acc,
-                               const std::uint32_t* pred_state,
-                               const std::uint32_t* pred_symbols,
-                               const std::int32_t* metric_by_pattern,
-                               std::uint8_t* survivor_row,
-                               std::size_t num_states);
-void multires_acs_avx2(const double* acc, double* next_acc,
-                       const std::uint32_t* pred_state,
-                       const std::uint32_t* pred_symbols,
-                       const double* scaled_metric_by_pattern,
-                       std::uint8_t* survivor_row,
-                       double* winning_scaled_metric,
-                       std::size_t num_states);
-void quantize_block_avx2(const double* rx, int* out, std::size_t count,
-                         double step, double offset, int max_level);
-void frame_viterbi_acs_avx2(const std::int32_t* acc, std::int32_t* next_acc,
-                            const std::uint32_t* pred_state,
-                            const std::uint32_t* pred_symbols,
-                            const std::int32_t* metric_by_pattern,
-                            std::uint8_t* survivor_row,
-                            std::size_t num_states, std::size_t lanes,
-                            std::int32_t* best_metric,
-                            std::uint32_t* best_state);
-void frame_multires_acs_avx2(const double* acc, double* next_acc,
-                             const std::uint32_t* pred_state,
-                             const std::uint32_t* pred_symbols,
-                             const double* scaled_metric_by_pattern,
-                             std::uint8_t* survivor_row,
-                             double* winning_scaled_metric,
-                             std::size_t num_states, std::size_t lanes);
-
-AcsStepResult viterbi_acs_avx512(const std::int32_t* acc,
-                                 std::int32_t* next_acc,
-                                 const std::uint32_t* pred_state,
-                                 const std::uint32_t* pred_symbols,
-                                 const std::int32_t* metric_by_pattern,
-                                 std::uint8_t* survivor_row,
-                                 std::size_t num_states);
-void multires_acs_avx512(const double* acc, double* next_acc,
-                         const std::uint32_t* pred_state,
-                         const std::uint32_t* pred_symbols,
-                         const double* scaled_metric_by_pattern,
-                         std::uint8_t* survivor_row,
-                         double* winning_scaled_metric,
-                         std::size_t num_states);
-void quantize_block_avx512(const double* rx, int* out, std::size_t count,
-                           double step, double offset, int max_level);
-void frame_viterbi_acs_avx512(const std::int32_t* acc, std::int32_t* next_acc,
-                              const std::uint32_t* pred_state,
-                              const std::uint32_t* pred_symbols,
-                              const std::int32_t* metric_by_pattern,
-                              std::uint8_t* survivor_row,
-                              std::size_t num_states, std::size_t lanes,
-                              std::int32_t* best_metric,
-                              std::uint32_t* best_state);
-void frame_multires_acs_avx512(const double* acc, double* next_acc,
                                const std::uint32_t* pred_state,
                                const std::uint32_t* pred_symbols,
                                const double* scaled_metric_by_pattern,

@@ -1,8 +1,8 @@
 // Runtime kernel dispatch: CPUID feature detection, the METACORE_SIMD
-// environment override, and the atomically swappable kernel table. The
-// selection is resolved once (first use) and cached; force_isa() re-points
-// the table for tests and benchmarks. Loads are relaxed — the table entries
-// are plain function pointers and the kernels themselves are stateless, so
+// environment override, and one atomic pointer to the dispatched tier's
+// kernel table. The selection is resolved once (first use) and cached;
+// force_isa() re-points it for tests and benchmarks. Loads are relaxed —
+// every table is an immutable constant and the kernels are stateless, so
 // there is nothing to synchronize beyond the pointer value itself.
 #include <atomic>
 #include <cstdlib>
@@ -14,42 +14,31 @@ namespace metacore::comm::simd {
 
 namespace {
 
-struct KernelTable {
-  ViterbiAcsFn viterbi;
-  MultiresAcsFn multires;
-  FrameViterbiAcsFn frame_viterbi;
-  FrameMultiresAcsFn frame_multires;
-  QuantizeBlockFn quantize;
-};
-
-KernelTable table_for(Isa isa) {
+/// The table of a tier compiled into this binary, or nullptr.
+const detail::KernelTable* compiled_table(Isa isa) {
   switch (isa) {
     case Isa::Scalar:
-      return {detail::viterbi_acs_scalar, detail::multires_acs_scalar,
-              detail::frame_viterbi_acs_scalar,
-              detail::frame_multires_acs_scalar, detail::quantize_block_scalar};
-#if METACORE_SIMD_HAVE_SSE4
+      return &detail::scalar_kernels;
     case Isa::Sse4:
-      return {detail::viterbi_acs_sse4, detail::multires_acs_sse4,
-              detail::frame_viterbi_acs_sse4, detail::frame_multires_acs_sse4,
-              detail::quantize_block_sse4};
+#if METACORE_SIMD_HAVE_SSE4
+      return &detail::sse4_kernels;
+#else
+      return nullptr;
 #endif
-#if METACORE_SIMD_HAVE_AVX2
     case Isa::Avx2:
-      return {detail::viterbi_acs_avx2, detail::multires_acs_avx2,
-              detail::frame_viterbi_acs_avx2, detail::frame_multires_acs_avx2,
-              detail::quantize_block_avx2};
+#if METACORE_SIMD_HAVE_AVX2
+      return &detail::avx2_kernels;
+#else
+      return nullptr;
 #endif
-#if METACORE_SIMD_HAVE_AVX512
     case Isa::Avx512:
-      return {detail::viterbi_acs_avx512, detail::multires_acs_avx512,
-              detail::frame_viterbi_acs_avx512,
-              detail::frame_multires_acs_avx512, detail::quantize_block_avx512};
+#if METACORE_SIMD_HAVE_AVX512
+      return &detail::avx512_kernels;
+#else
+      return nullptr;
 #endif
-    default:
-      throw std::runtime_error("simd: kernel tier not compiled in: " +
-                               to_string(isa));
   }
+  return nullptr;
 }
 
 bool cpu_supports(Isa isa) {
@@ -109,41 +98,24 @@ Isa initial_isa() {
   return requested;
 }
 
-/// The dispatch state. The Isa enum and the kernel pointers are stored in
-/// separate atomics, all written together under force_isa; readers only
-/// ever need one pointer at a time, and every tier is bit-identical, so a
-/// racing reader observing a mixed table is still correct (it merely runs
-/// one step on the previous tier).
-struct Dispatch {
-  std::atomic<Isa> isa;
-  std::atomic<ViterbiAcsFn> viterbi;
-  std::atomic<MultiresAcsFn> multires;
-  std::atomic<FrameViterbiAcsFn> frame_viterbi;
-  std::atomic<FrameMultiresAcsFn> frame_multires;
-  std::atomic<QuantizeBlockFn> quantize;
-
-  Dispatch() {
-    const Isa selected = initial_isa();
-    const KernelTable table = table_for(selected);
-    isa.store(selected, std::memory_order_relaxed);
-    viterbi.store(table.viterbi, std::memory_order_relaxed);
-    multires.store(table.multires, std::memory_order_relaxed);
-    frame_viterbi.store(table.frame_viterbi, std::memory_order_relaxed);
-    frame_multires.store(table.frame_multires, std::memory_order_relaxed);
-    quantize.store(table.quantize, std::memory_order_relaxed);
-  }
-};
-
-Dispatch& dispatch() {
-  static Dispatch d;  // thread-safe magic-static init; throws propagate
-  return d;
+/// The dispatched tier's table. Tables are immutable and the kernels
+/// stateless, so a relaxed load of the one pointer is all a reader needs.
+std::atomic<const detail::KernelTable*>& current() {
+  // Thread-safe magic-static init; a throwing initial_isa() propagates.
+  static std::atomic<const detail::KernelTable*> table{
+      compiled_table(initial_isa())};
+  return table;
 }
 
-KernelTable table_for_checked(Isa isa) {
+const detail::KernelTable& dispatched() {
+  return *current().load(std::memory_order_relaxed);
+}
+
+const detail::KernelTable& table_for(Isa isa) {
   if (!isa_available(isa)) {
     throw std::runtime_error("simd: tier unavailable: " + to_string(isa));
   }
-  return table_for(isa);
+  return *compiled_table(isa);
 }
 
 }  // namespace
@@ -162,51 +134,18 @@ std::string to_string(Isa isa) {
   return "?";
 }
 
-bool isa_compiled(Isa isa) {
-  switch (isa) {
-    case Isa::Scalar:
-      return true;
-    case Isa::Sse4:
-#if METACORE_SIMD_HAVE_SSE4
-      return true;
-#else
-      return false;
-#endif
-    case Isa::Avx2:
-#if METACORE_SIMD_HAVE_AVX2
-      return true;
-#else
-      return false;
-#endif
-    case Isa::Avx512:
-#if METACORE_SIMD_HAVE_AVX512
-      return true;
-#else
-      return false;
-#endif
-  }
-  return false;
-}
+bool isa_compiled(Isa isa) { return compiled_table(isa) != nullptr; }
 
 bool isa_available(Isa isa) { return isa_compiled(isa) && cpu_supports(isa); }
 
-Isa dispatched_isa() {
-  return dispatch().isa.load(std::memory_order_relaxed);
-}
+Isa dispatched_isa() { return dispatched().isa; }
 
 void force_isa(Isa isa) {
   if (!isa_available(isa)) {
     throw std::runtime_error("simd::force_isa: tier unavailable: " +
                              to_string(isa));
   }
-  const KernelTable table = table_for(isa);
-  Dispatch& d = dispatch();
-  d.isa.store(isa, std::memory_order_relaxed);
-  d.viterbi.store(table.viterbi, std::memory_order_relaxed);
-  d.multires.store(table.multires, std::memory_order_relaxed);
-  d.frame_viterbi.store(table.frame_viterbi, std::memory_order_relaxed);
-  d.frame_multires.store(table.frame_multires, std::memory_order_relaxed);
-  d.quantize.store(table.quantize, std::memory_order_relaxed);
+  current().store(compiled_table(isa), std::memory_order_relaxed);
 }
 
 std::size_t natural_frame_lanes(Isa isa) {
@@ -222,32 +161,29 @@ std::size_t natural_frame_lanes(Isa isa) {
   return 4;
 }
 
-ViterbiAcsFn viterbi_acs() {
-  return dispatch().viterbi.load(std::memory_order_relaxed);
-}
-MultiresAcsFn multires_acs() {
-  return dispatch().multires.load(std::memory_order_relaxed);
-}
-FrameViterbiAcsFn frame_viterbi_acs() {
-  return dispatch().frame_viterbi.load(std::memory_order_relaxed);
-}
-FrameMultiresAcsFn frame_multires_acs() {
-  return dispatch().frame_multires.load(std::memory_order_relaxed);
-}
-QuantizeBlockFn quantize_block() {
-  return dispatch().quantize.load(std::memory_order_relaxed);
-}
+ViterbiAcsFn viterbi_acs() { return dispatched().viterbi; }
+MultiresAcsFn multires_acs() { return dispatched().multires; }
+FrameViterbiAcsFn frame_viterbi_acs() { return dispatched().frame_viterbi; }
+FrameMultiresAcsFn frame_multires_acs() { return dispatched().frame_multires; }
+QuantizeBlockFn quantize_block() { return dispatched().quantize; }
 
-ViterbiAcsFn viterbi_acs(Isa isa) { return table_for_checked(isa).viterbi; }
-MultiresAcsFn multires_acs(Isa isa) { return table_for_checked(isa).multires; }
+ViterbiAcsFn viterbi_acs(Isa isa) { return table_for(isa).viterbi; }
+MultiresAcsFn multires_acs(Isa isa) { return table_for(isa).multires; }
 FrameViterbiAcsFn frame_viterbi_acs(Isa isa) {
-  return table_for_checked(isa).frame_viterbi;
+  return table_for(isa).frame_viterbi;
 }
 FrameMultiresAcsFn frame_multires_acs(Isa isa) {
-  return table_for_checked(isa).frame_multires;
+  return table_for(isa).frame_multires;
 }
-QuantizeBlockFn quantize_block(Isa isa) {
-  return table_for_checked(isa).quantize;
-}
+QuantizeBlockFn quantize_block(Isa isa) { return table_for(isa).quantize; }
+
+namespace detail {
+
+constinit const KernelTable scalar_kernels = {
+    Isa::Scalar,         viterbi_acs_scalar,       multires_acs_scalar,
+    frame_viterbi_acs_scalar, frame_multires_acs_scalar,
+    quantize_block_scalar};
+
+}  // namespace detail
 
 }  // namespace metacore::comm::simd

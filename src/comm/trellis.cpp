@@ -114,7 +114,12 @@ std::string describe_encoder(const CodeSpec& spec) {
         if (!first) out += ", ";
         first = false;
         const int reg = spec.constraint_length - 1 - pos;
-        out += reg == 0 ? "input" : "R" + std::to_string(reg);
+        if (reg == 0) {
+          out += "input";
+        } else {
+          out += 'R';
+          out += std::to_string(reg);
+        }
       }
     }
     out += "}\n";

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <map>
+#include <mutex>
 #include <string>
 
 #include "dsp/design.hpp"
@@ -64,11 +65,13 @@ class IirMetaCore {
  private:
   /// Designs (and caches) the filter for a (family, ripple fraction, extra
   /// order) combination; shared by every structure/word-length evaluation.
+  /// Thread-safe: the search evaluates points on the exec pool.
   const dsp::DesignedFilter& designed(dsp::FilterFamily family,
                                       double ripple_fraction,
                                       int extra_order) const;
 
   IirRequirements requirements_;
+  mutable std::mutex design_mutex_;  // guards design_cache_
   mutable std::map<std::tuple<int, int, int>, dsp::DesignedFilter>
       design_cache_;
 };

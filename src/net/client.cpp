@@ -242,7 +242,9 @@ WireResponse DesignClient::recv_matching(const std::string& id) {
 }
 
 std::string DesignClient::next_id() {
-  return "c" + std::to_string(++next_seq_);
+  std::string id = "c";
+  id += std::to_string(++next_seq_);
+  return id;
 }
 
 WireResponse DesignClient::query(const serve::DesignQuery& query) {

@@ -27,7 +27,11 @@ double QFormat::min_value() const {
 }
 
 std::string QFormat::label() const {
-  return "Q" + std::to_string(integer_bits()) + "." + std::to_string(frac_bits);
+  std::string label = "Q";
+  label += std::to_string(integer_bits());
+  label += '.';
+  label += std::to_string(frac_bits);
+  return label;
 }
 
 namespace {

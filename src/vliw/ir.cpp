@@ -120,15 +120,21 @@ std::string Kernel::to_string() const {
     std::snprintf(buf, sizeof(buf), "%.2f", block.trip_count);
     out += "  block " + block.name + " (trips/unit " + buf;
     if (block.recurrence_mii > 1) {
-      out += ", recurrence MII " + std::to_string(block.recurrence_mii);
+      out += ", recurrence MII ";
+      out += std::to_string(block.recurrence_mii);
     }
     out += ")\n";
     for (const auto& op : block.ops) {
       out += "    ";
-      if (op.dst >= 0) out += "r" + std::to_string(op.dst) + " = ";
+      if (op.dst >= 0) {
+        out += 'r';
+        out += std::to_string(op.dst);
+        out += " = ";
+      }
       out += metacore::vliw::to_string(op.op);
       for (std::size_t i = 0; i < op.srcs.size(); ++i) {
-        out += (i == 0 ? " r" : ", r") + std::to_string(op.srcs[i]);
+        out += i == 0 ? " r" : ", r";
+        out += std::to_string(op.srcs[i]);
       }
       if (!op.tag.empty()) out += "    ; " + op.tag;
       out += "\n";

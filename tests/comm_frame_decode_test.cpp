@@ -222,7 +222,10 @@ TEST_P(FrameSweep, EveryIsaTierMatchesForcedScalar) {
   for (const auto isa : available_isas()) {
     if (isa == simd::Isa::Scalar) continue;
     simd::force_isa(isa);
-    for (const std::size_t lanes : {1u, 3u, 4u, 8u, 16u}) {
+    // 2, 5, 6, 7, 12 and 24 lanes cover every split of the lane-chunk
+    // chain: 2; 4+1; 4+2; 4+2+1; 8+4; 16+8.
+    for (const std::size_t lanes :
+         {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 12u, 16u, 24u}) {
       EXPECT_EQ(decode_frames(spec, trellis, 1.0, sigma, spans, lanes),
                 reference)
           << simd::to_string(isa) << " lanes=" << lanes;

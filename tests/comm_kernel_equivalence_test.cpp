@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -463,11 +464,15 @@ TEST(SimdQuantize, BlockMatchesPerSampleOnEveryTier) {
   for (const auto method : methods) {
     for (int bits : {1, 3, 8}) {
       const Quantizer q(method, bits, 1.0, 0.5);
-      // Random samples plus saturation and threshold-straddling edges; odd
-      // count exercises every kernel's scalar tail.
+      // Random samples plus saturation and threshold-straddling edges, NaNs
+      // (both land on the top level), infinities and -0.0; the odd count
+      // leaves a partial chunk at every vector width.
+      const double inf = std::numeric_limits<double>::infinity();
+      const double nan = std::numeric_limits<double>::quiet_NaN();
       std::vector<double> rx;
       for (int i = 0; i < 1001; ++i) rx.push_back(rng.normal(0.0, 2.0));
       rx.insert(rx.end(), {-1e9, 1e9, -1.0, 1.0, 0.0, -1e-9, 1e-9});
+      rx.insert(rx.end(), {nan, -nan, inf, -inf, -0.0});
       std::vector<int> expected(rx.size());
       for (std::size_t i = 0; i < rx.size(); ++i) {
         expected[i] = q.quantize(rx[i]);
@@ -479,6 +484,91 @@ TEST(SimdQuantize, BlockMatchesPerSampleOnEveryTier) {
         EXPECT_EQ(out, expected)
             << to_string(method) << " bits=" << bits << " isa="
             << simd::to_string(isa);
+      }
+    }
+  }
+}
+
+/// Everything the raw kernels write for one set of lane-major inputs.
+struct RawKernelOutputs {
+  std::vector<std::int32_t> next;
+  std::vector<double> next_d, winning;
+  std::vector<std::uint8_t> surv, surv_d;
+  std::vector<std::int32_t> best_metric;
+  std::vector<std::uint32_t> best_state;
+  std::int32_t step_metric = 0;
+  std::uint32_t step_state = 0;
+
+  bool operator==(const RawKernelOutputs&) const = default;
+};
+
+TEST(RawKernels, EveryTierMatchesScalarOnTieHeavyInputs) {
+  // Metrics drawn from {0, 1, 2} make compare ties and repeated minima
+  // common; lanes 1-16 walk every lane-chunk split of every tier.
+  util::Random rng(2024);
+  for (const int k : {5, 7, 9}) {  // 16, 64 and 256 states
+    const Trellis trellis(best_rate_half_code(k));
+    const auto states = static_cast<std::size_t>(trellis.num_states());
+    const std::size_t patterns = std::size_t{1}
+                                 << trellis.symbols_per_step();
+    const auto pred_state = trellis.pred_states().data();
+    const auto pred_symbols = trellis.pred_symbols().data();
+    for (std::size_t lanes = 1; lanes <= 16; ++lanes) {
+      std::vector<std::int32_t> acc(states * lanes), metric(patterns * lanes);
+      std::vector<double> acc_d(states * lanes), metric_d(patterns * lanes);
+      for (auto& v : acc) v = static_cast<std::int32_t>(rng.uniform_index(3));
+      for (auto& v : metric) {
+        v = static_cast<std::int32_t>(rng.uniform_index(3));
+      }
+      for (auto& v : acc_d) v = 0.5 * static_cast<double>(rng.uniform_index(3));
+      for (auto& v : metric_d) {
+        v = 0.5 * static_cast<double>(rng.uniform_index(3));
+      }
+      const auto run = [&](simd::Isa isa) {
+        RawKernelOutputs o;
+        o.next.resize(states * lanes);
+        o.next_d.resize(states * lanes);
+        o.winning.resize(states * lanes);
+        o.surv.resize(states * lanes);
+        o.surv_d.resize(states * lanes);
+        o.best_metric.resize(lanes);
+        o.best_state.resize(lanes);
+        simd::frame_viterbi_acs(isa)(acc.data(), o.next.data(), pred_state,
+                                     pred_symbols, metric.data(),
+                                     o.surv.data(), states, lanes,
+                                     o.best_metric.data(),
+                                     o.best_state.data());
+        simd::frame_multires_acs(isa)(acc_d.data(), o.next_d.data(),
+                                      pred_state, pred_symbols,
+                                      metric_d.data(), o.surv_d.data(),
+                                      o.winning.data(), states, lanes);
+        // With one lane the frame layout is the state-parallel layout, so
+        // the state-parallel kernels take the same inputs and must write the
+        // same outputs.
+        if (lanes == 1) {
+          std::vector<std::uint8_t> surv(states), surv_d(states);
+          std::vector<std::int32_t> next(states);
+          std::vector<double> next_d(states), winning(states);
+          const simd::AcsStepResult step = simd::viterbi_acs(isa)(
+              acc.data(), next.data(), pred_state, pred_symbols, metric.data(),
+              surv.data(), states);
+          o.step_metric = step.best_metric;
+          o.step_state = step.best_state;
+          simd::multires_acs(isa)(acc_d.data(), next_d.data(), pred_state,
+                                  pred_symbols, metric_d.data(),
+                                  surv_d.data(), winning.data(), states);
+          EXPECT_EQ(next, o.next);
+          EXPECT_EQ(surv, o.surv);
+          EXPECT_EQ(surv_d, o.surv_d);
+          EXPECT_EQ(next_d, o.next_d);
+          EXPECT_EQ(winning, o.winning);
+        }
+        return o;
+      };
+      const RawKernelOutputs reference = run(simd::Isa::Scalar);
+      for (const auto isa : available_isas()) {
+        EXPECT_TRUE(run(isa) == reference)
+            << simd::to_string(isa) << " K=" << k << " lanes=" << lanes;
       }
     }
   }

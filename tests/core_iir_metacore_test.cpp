@@ -1,7 +1,10 @@
 // Tests for the IIR MetaCore: the paper's validation example.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/iir_metacore.hpp"
+#include "exec/thread_pool.hpp"
 
 namespace metacore::core {
 namespace {
@@ -130,6 +133,44 @@ TEST(IirMetaCore, FamilyExplorationEvaluatesChebyshev) {
   const auto eval = core.evaluate({4, 0, 14, 0.7, 1}, 0);
   EXPECT_TRUE(eval.feasible);
   EXPECT_TRUE(eval.has_metric("area_mm2"));
+}
+
+TEST(IirMetaCore, ParallelEvaluationMatchesSerial) {
+  // Every point shares its filter design with others, and a fresh core
+  // starts with an empty design cache, so pool threads race to fill the
+  // same entries (run under -DMETACORE_SANITIZE=thread to check the lock).
+  std::vector<std::vector<double>> points;
+  for (int repeat = 0; repeat < 4; ++repeat) {
+    for (const double structure : {0.0, 2.0, 4.0, 5.0}) {
+      for (const double extra_order : {0.0, 1.0}) {
+        for (const double ripple : {0.7, 1.0}) {
+          points.push_back({structure, extra_order, 14.0, ripple, 3.0});
+        }
+      }
+    }
+  }
+  const auto requirements = paper_bandpass_requirements(2.0);
+  const IirMetaCore serial_core(requirements);
+  std::vector<search::Evaluation> serial;
+  for (const auto& point : points) {
+    serial.push_back(serial_core.evaluate(point, 0));
+  }
+
+  const IirMetaCore parallel_core(requirements);
+  std::vector<search::Evaluation> parallel(points.size());
+  exec::ThreadPool pool(4);
+  pool.parallel_for(points.size(), [&](std::size_t i) {
+    parallel[i] = parallel_core.evaluate(points[i], 0);
+  });
+
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(parallel[i].feasible, serial[i].feasible) << "point " << i;
+    EXPECT_EQ(parallel[i].metrics, serial[i].metrics) << "point " << i;
+    EXPECT_EQ(parallel[i].confidence_weight, serial[i].confidence_weight)
+        << "point " << i;
+    EXPECT_EQ(parallel[i].failure_reason, serial[i].failure_reason)
+        << "point " << i;
+  }
 }
 
 }  // namespace

@@ -246,7 +246,8 @@ TEST(DesignServer, ConcurrentConnectionsAreByteIdenticalAtAnyWidth) {
         client.connect("127.0.0.1", server.port());
         std::vector<std::string> ids;
         for (std::size_t q = c; q < kQueries; q += connections) {
-          const std::string id = "w" + std::to_string(q);
+          std::string id = "w";
+          id += std::to_string(q);
           client.send_query(id, unique[q % unique.size()]);
           ids.push_back(id);
         }
@@ -329,7 +330,8 @@ TEST(DesignServer, WorkerShardConnectionMatrixIsByteIdentical) {
             }
             std::vector<std::string> ids;
             for (std::size_t q = c; q < kQueries; q += connections) {
-              const std::string id = "m" + std::to_string(q);
+              std::string id = "m";
+              id += std::to_string(q);
               client.send_query(id, unique[q % unique.size()]);
               ids.push_back(id);
             }

@@ -23,7 +23,8 @@ TEST(DesignSpace, SizeSaturatesForHugeSpaces) {
   std::vector<ParameterDef> params;
   for (int d = 0; d < 20; ++d) {
     ParameterDef p;
-    p.name = "p" + std::to_string(d);
+    p.name = "p";
+    p.name += std::to_string(d);
     p.values.assign(1000, 0.0);
     for (int i = 0; i < 1000; ++i) p.values[static_cast<std::size_t>(i)] = i;
     params.push_back(p);

@@ -738,7 +738,8 @@ search::DesignSpace bowl_space(int dims, int points) {
   std::vector<search::ParameterDef> params;
   for (int d = 0; d < dims; ++d) {
     search::ParameterDef p;
-    p.name = "x" + std::to_string(d);
+    p.name = "x";
+    p.name += std::to_string(d);
     for (int i = 0; i < points; ++i) {
       p.values.push_back(static_cast<double>(i) / (points - 1));
     }
