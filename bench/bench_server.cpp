@@ -50,8 +50,8 @@ std::string bench_serve_json_path() {
 /// the warm pass replays exactly the points the cold pass journaled. Four
 /// distinct throughput requirements = four evaluator fingerprints, so a
 /// multi-worker server has real routing to do. `deep` widens the search
-/// budget (denser grid, two refinement levels) so the archived Pareto
-/// fronts grow large — the shape the wire-byte comparison is about.
+/// budget (denser grid, two refinement levels) so the responses carry
+/// large Pareto fronts — the serialization cost the response cache saves.
 std::vector<serve::DesignQuery> query_pool(bool deep) {
   std::vector<serve::DesignQuery> pool;
   const std::size_t max_evals =
@@ -89,8 +89,6 @@ struct PassResult {
 struct PassOptions {
   /// Closed loop (send, wait, repeat) vs open loop (burst, then drain).
   bool pipelined = false;
-  /// Negotiate the MCB1 binary wire mode before sending any query.
-  bool binary = false;
   /// Serialized-response cache capacity (0 disables; 256 is the default).
   std::size_t response_cache_capacity = 256;
   /// Closed-loop replays of the whole pool per connection BEFORE the
@@ -138,7 +136,6 @@ PassResult run_pass(const std::string& store_path,
       client.connect("127.0.0.1", server.port());
       std::vector<double> local_ms;
       std::size_t local_errors = 0;
-      if (options.binary && !client.negotiate_binary()) ++local_errors;
       for (std::size_t loop = 0; loop < options.prewarm_loops; ++loop) {
         for (const auto& query : pool) {
           if (!client.query(query).ok()) ++local_errors;
@@ -160,8 +157,12 @@ PassResult run_pass(const std::string& store_path,
         const auto burst_start = std::chrono::steady_clock::now();
         std::vector<std::string> ids;
         for (std::size_t q = 0; q < queries_per_connection; ++q) {
-          const std::string id =
-              "b" + std::to_string(c) + "-" + std::to_string(q);
+          // Appended piecewise: GCC 12 raises a false -Wrestrict on
+          // "literal" + std::string&& here in Release builds.
+          std::string id = "b";
+          id += std::to_string(c);
+          id += '-';
+          id += std::to_string(q);
           client.send_query(id, pool[(c + q) % pool.size()]);
           ids.push_back(id);
         }
@@ -214,82 +215,6 @@ PassResult run_pass(const std::string& store_path,
   return pass;
 }
 
-/// Measures the response wire bytes of large-front `archive_only` queries:
-/// each connection first replays the pool once (closed loop) so the
-/// service's Pareto archive fills, then — with its traffic counters reset —
-/// probes the archive repeatedly. Only the probe phase is measured, so
-/// bytes-per-response isolates the encoded DesignResponse payload cost of
-/// the chosen wire mode.
-PassResult run_archive_pass(const std::string& store_path,
-                            const std::vector<serve::DesignQuery>& pool,
-                            std::size_t connections,
-                            std::size_t probes_per_connection, bool binary,
-                            std::size_t workers, std::size_t shards) {
-  serve::StoreConfig store_config = serve::StoreConfig::from_env();
-  store_config.shards = shards;
-  serve::ServiceConfig service_config;
-  service_config.store =
-      std::make_shared<serve::EvaluationStore>(store_path, store_config);
-  auto service = std::make_shared<serve::DesignService>(service_config);
-  net::ServerConfig server_config;
-  server_config.search_workers = workers;
-  net::DesignServer server(service, server_config);
-  server.start();
-
-  std::vector<serve::DesignQuery> probes = pool;
-  for (auto& probe : probes) probe.archive_only = true;
-
-  std::mutex merge_mutex;
-  std::vector<double> latencies_ms;
-  PassResult pass;
-  std::vector<std::thread> load_threads;
-  for (std::size_t c = 0; c < connections; ++c) {
-    load_threads.emplace_back([&, c] {
-      net::DesignClient client;
-      client.connect("127.0.0.1", server.port());
-      std::size_t local_errors = 0;
-      if (binary && !client.negotiate_binary()) ++local_errors;
-      for (const auto& query : pool) {
-        if (!client.query(query).ok()) ++local_errors;
-      }
-      client.reset_stats();
-      const auto probe_start = std::chrono::steady_clock::now();
-      std::vector<double> local_ms;
-      for (std::size_t q = 0; q < probes_per_connection; ++q) {
-        const auto t0 = std::chrono::steady_clock::now();
-        const net::WireResponse r = client.query(probes[(c + q) % probes.size()]);
-        local_ms.push_back(std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count());
-        if (!r.ok() || r.response_json.empty()) ++local_errors;
-      }
-      std::lock_guard<std::mutex> lock(merge_mutex);
-      latencies_ms.insert(latencies_ms.end(), local_ms.begin(),
-                          local_ms.end());
-      pass.errors += local_errors;
-      pass.wire_bytes_sent += client.client_stats().wire_bytes_sent;
-      pass.wire_bytes_received += client.client_stats().wire_bytes_received;
-      pass.wall_ms = std::max(
-          pass.wall_ms, std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - probe_start)
-                            .count());
-    });
-  }
-  for (auto& thread : load_threads) thread.join();
-  pass.store_hits = service->stats().store_hits;
-  pass.response_cache_hits = service->stats().response_cache_hits;
-  server.shutdown();
-
-  pass.queries = latencies_ms.size();
-  pass.p50_ms = util::percentile(latencies_ms, 50.0);
-  pass.p99_ms = util::percentile(latencies_ms, 99.0);
-  pass.queries_per_sec = pass.queries / (pass.wall_ms / 1000.0);
-  pass.wire_mb_per_sec =
-      static_cast<double>(pass.wire_bytes_sent + pass.wire_bytes_received) /
-      1e6 / (pass.wall_ms / 1000.0);
-  return pass;
-}
-
 void print_pass(const std::string& name, const PassResult& pass) {
   std::cout << "  " << name << ": " << pass.queries << " queries in "
             << util::format_double(pass.wall_ms, 0) << " ms ("
@@ -305,8 +230,7 @@ void print_pass(const std::string& name, const PassResult& pass) {
 
 bench::BenchRecord to_record(const std::string& name, const PassResult& pass,
                              std::size_t connections, std::size_t workers,
-                             std::size_t shards,
-                             const std::string& wire = "text") {
+                             std::size_t shards) {
   bench::BenchRecord record;
   record.name = name;
   record.values["connections"] = static_cast<double>(connections);
@@ -326,7 +250,6 @@ bench::BenchRecord to_record(const std::string& name, const PassResult& pass,
   record.values["wire_mb_per_sec"] = pass.wire_mb_per_sec;
   record.values["response_cache_hits"] =
       static_cast<double>(pass.response_cache_hits);
-  record.labels["wire"] = wire;
   return record;
 }
 
@@ -351,12 +274,12 @@ int main() {
             << " query(ies) each, loopback TCP, "
             << std::thread::hardware_concurrency() << " hardware thread(s)\n";
 
-  // METACORE_BENCH_SECTION=sweep|wire runs just that section (iteration
+  // METACORE_BENCH_SECTION=sweep|cache runs just that section (iteration
   // aid); unset runs everything.
   const char* section_env = std::getenv("METACORE_BENCH_SECTION");
   const std::string section = section_env != nullptr ? section_env : "";
   const bool run_sweep = section.empty() || section == "sweep";
-  const bool run_wire = section.empty() || section == "wire";
+  const bool run_cache = section.empty() || section == "cache";
 
   std::vector<bench::BenchRecord> records;
   bool consistent = true;
@@ -429,28 +352,22 @@ int main() {
               << (consistent ? "consistent" : "INCONSISTENT") << "\n";
   }
 
-  // --- Wire mode x response cache (fixed 2 workers / 2 shards) -----------
+  // --- Response cache (fixed 2 workers / 2 shards) ----------------------
   //
-  // Same warm store for every pass, so the passes differ only in wire
-  // encoding and cache capacity: pipelined repeats measure the response
-  // cache's qps win, closed-loop archive probes measure the binary
-  // encoding's wire-byte win on large-front responses.
-  if (run_wire) {
-    const std::size_t wire_workers = 2;
-    const std::size_t wire_shards = 2;
+  // Same warm store for both passes, so they differ only in the cache
+  // capacity: the pipelined repeats measure the response cache's qps win.
+  if (run_cache) {
+    const std::size_t cache_workers = 2;
+    const std::size_t cache_shards = 2;
     const std::size_t repeats = bench::quick_mode() ? 6 : 16;
-    const std::string store_path = "bench_server_store_wire.jsonl";
+    const std::string store_path = "bench_server_store_cache.jsonl";
     remove_store(store_path);
-    std::cout << "\n[wire mode x response cache, " << wire_workers
-              << " worker(s)]\n";
+    std::cout << "\n[response cache, " << cache_workers << " worker(s)]\n";
 
-    // The deep pool archives a dense multi-level search per fingerprint,
-    // so archive probes answer with the large Pareto fronts whose byte
-    // cost the wire modes are compared on.
-    const auto wire_pool = query_pool(/*deep=*/true);
-    PassOptions seed_options;  // journal the pool once, text, closed loop
-    run_pass(store_path, wire_pool, connections, queries_per_connection,
-             seed_options, wire_workers, wire_shards);
+    const auto cache_pool = query_pool(/*deep=*/true);
+    PassOptions seed_options;  // journal the pool once, closed loop
+    run_pass(store_path, cache_pool, connections, queries_per_connection,
+             seed_options, cache_workers, cache_shards);
 
     PassOptions cache_off;
     cache_off.pipelined = true;
@@ -458,21 +375,15 @@ int main() {
     cache_off.prewarm_loops = 2;
     PassOptions cache_on = cache_off;
     cache_on.response_cache_capacity = 256;
-    PassOptions binary_on = cache_on;
-    binary_on.binary = true;
 
     const PassResult off =
-        run_pass(store_path, wire_pool, connections, repeats, cache_off,
-                 wire_workers, wire_shards);
-    print_pass("warm pipelined, text, cache off", off);
+        run_pass(store_path, cache_pool, connections, repeats, cache_off,
+                 cache_workers, cache_shards);
+    print_pass("warm pipelined, cache off", off);
     const PassResult on =
-        run_pass(store_path, wire_pool, connections, repeats, cache_on,
-                 wire_workers, wire_shards);
-    print_pass("warm pipelined, text, cache on ", on);
-    const PassResult bin =
-        run_pass(store_path, wire_pool, connections, repeats, binary_on,
-                 wire_workers, wire_shards);
-    print_pass("warm pipelined, binary, cache on", bin);
+        run_pass(store_path, cache_pool, connections, repeats, cache_on,
+                 cache_workers, cache_shards);
+    print_pass("warm pipelined, cache on ", on);
     const double cache_speedup =
         off.queries_per_sec > 0.0 ? on.queries_per_sec / off.queries_per_sec
                                   : 0.0;
@@ -480,63 +391,14 @@ int main() {
               << util::format_double(cache_speedup, 2) << "x ("
               << on.response_cache_hits << " hits)\n";
 
-    const std::size_t probes = bench::quick_mode() ? 4 : 12;
-    const PassResult text_archive =
-        run_archive_pass(store_path, wire_pool, connections, probes, false,
-                         wire_workers, wire_shards);
-    print_pass("archive probes, text  ", text_archive);
-    const PassResult bin_archive =
-        run_archive_pass(store_path, wire_pool, connections, probes, true,
-                         wire_workers, wire_shards);
-    print_pass("archive probes, binary", bin_archive);
-    const double text_bytes_per_response =
-        text_archive.queries > 0
-            ? static_cast<double>(text_archive.wire_bytes_received) /
-                  static_cast<double>(text_archive.queries)
-            : 0.0;
-    const double bin_bytes_per_response =
-        bin_archive.queries > 0
-            ? static_cast<double>(bin_archive.wire_bytes_received) /
-                  static_cast<double>(bin_archive.queries)
-            : 0.0;
-    const double wire_cut = bin_bytes_per_response > 0.0
-                                ? text_bytes_per_response /
-                                      bin_bytes_per_response
-                                : 0.0;
-    std::cout << "  archive response bytes: text "
-              << util::format_double(text_bytes_per_response, 0)
-              << " B, binary "
-              << util::format_double(bin_bytes_per_response, 0) << " B — "
-              << util::format_double(wire_cut, 2) << "x cut\n";
-
-    // The binary mode must actually pay for itself on large-front
-    // responses (the acceptance bar is a >= 2x wire-byte cut), the cache
-    // must actually hit, and nothing may error in any mode. Quick mode
-    // shrinks the fronts (and with them the byte win), so the 2x bar is
-    // only enforced on full-size runs.
+    // The cache must actually hit, and nothing may error in either pass.
     consistent = consistent && off.errors == 0 && on.errors == 0 &&
-                 bin.errors == 0 && text_archive.errors == 0 &&
-                 bin_archive.errors == 0 && on.response_cache_hits > 0 &&
-                 (bench::quick_mode() || wire_cut >= 2.0);
+                 on.response_cache_hits > 0;
 
     records.push_back(to_record("serve_wire_pipelined_cache_off", off,
-                                connections, wire_workers, wire_shards));
+                                connections, cache_workers, cache_shards));
     records.push_back(to_record("serve_wire_pipelined_cache_on", on,
-                                connections, wire_workers, wire_shards));
-    records.push_back(to_record("serve_wire_pipelined_binary", bin,
-                                connections, wire_workers, wire_shards,
-                                "binary"));
-    bench::BenchRecord text_rec =
-        to_record("serve_wire_archive_text", text_archive, connections,
-                  wire_workers, wire_shards);
-    text_rec.values["bytes_per_response"] = text_bytes_per_response;
-    records.push_back(text_rec);
-    bench::BenchRecord bin_rec =
-        to_record("serve_wire_archive_binary", bin_archive, connections,
-                  wire_workers, wire_shards, "binary");
-    bin_rec.values["bytes_per_response"] = bin_bytes_per_response;
-    bin_rec.values["wire_cut_vs_text"] = wire_cut;
-    records.push_back(bin_rec);
+                                connections, cache_workers, cache_shards));
     remove_store(store_path);
   }
 

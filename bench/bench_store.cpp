@@ -210,7 +210,7 @@ int main() {
   }
 
   // 6) CRC32C backend throughput: the checksum under every journal frame
-  //    and every MCB1 binary wire frame. Both tiers are bit-identical
+  //    and checkpoint. Both tiers are bit-identical
   //    (util_crc32c_test pins that); this records what the SSE4.2
   //    dispatch buys over the portable slice-by-8 walk.
   {

@@ -30,7 +30,6 @@
 // was answered from the store (CI uses this to smoke-test warm restarts,
 // in-process and over the socket).
 #include <csignal>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -84,12 +83,6 @@ struct Options {
   bool loopback = false;
   int listen_port = -1;           // >= 0: server mode
   std::string connect_target;     // "host:port": client mode
-  /// Wire mode: "binary" makes the client negotiate MCB1 after
-  /// connecting; "text" on the server side (--listen/--loopback) disables
-  /// binary grants so a binary client exercises the downgrade path. Empty
-  /// = defaults (text client, binary-capable server). Env default:
-  /// METACORE_WIRE.
-  std::string wire;
   std::vector<std::string> query_files;
 };
 
@@ -124,10 +117,6 @@ std::size_t store_hits_of(const std::string& response_json) {
 int run_client_batch(net::DesignClient& client,
                      const std::vector<serve::DesignQuery>& batch,
                      bool expect_store_hits) {
-  std::cout << "wire mode: "
-            << (client.wire() == serve::WireEncoding::Binary ? "binary"
-                                                             : "text")
-            << "\n";
   std::cout << "submitting " << batch.size()
             << " query(ies) over the socket...\n\n";
   std::vector<std::string> ids;
@@ -167,20 +156,10 @@ int run_client_batch(net::DesignClient& client,
   return all_ok ? 0 : 1;
 }
 
-/// Client-side wire-mode setup: negotiates binary when asked, reporting a
-/// downgrade (the connection keeps working in text either way).
-void apply_wire_mode(net::DesignClient& client, const Options& opts) {
-  if (opts.wire != "binary") return;
-  if (!client.negotiate_binary()) {
-    std::cout << "server declined binary mode; staying on text\n";
-  }
-}
-
 int run_listen(const Options& opts) {
   auto service = make_service(opts);
   net::ServerConfig config = net::ServerConfig::from_env();
   config.port = opts.listen_port;
-  if (opts.wire == "text") config.enable_binary = false;
   net::DesignServer server(service, config);
   server.start();
   g_server = &server;
@@ -207,23 +186,19 @@ int run_connect(const Options& opts,
   const int port = std::stoi(opts.connect_target.substr(colon + 1));
   net::DesignClient client;
   client.connect(host, port);
-  apply_wire_mode(client, opts);
   return run_client_batch(client, batch, opts.expect_store_hits);
 }
 
 int run_loopback(const Options& opts,
                  const std::vector<serve::DesignQuery>& batch) {
   auto service = make_service(opts);
-  net::ServerConfig config = net::ServerConfig::from_env();
-  if (opts.wire == "text") config.enable_binary = false;
-  net::DesignServer server(service, config);
+  net::DesignServer server(service, net::ServerConfig::from_env());
   server.start();
   std::cout << "loopback server on 127.0.0.1:" << server.port() << "\n";
   int rc = 0;
   {
     net::DesignClient client;
     client.connect("127.0.0.1", server.port());
-    apply_wire_mode(client, opts);
     rc = run_client_batch(client, batch, opts.expect_store_hits);
   }
   server.shutdown();
@@ -294,39 +269,20 @@ int main(int argc, char** argv) {
       opts.connect_target = argv[++i];
     } else if (arg == "--loopback") {
       opts.loopback = true;
-    } else if (arg.rfind("--wire=", 0) == 0) {
-      opts.wire = arg.substr(7);
-    } else if (arg == "--wire") {
-      if (i + 1 >= argc) {
-        std::cerr << "--wire requires a mode (text | binary)\n";
-        return 2;
-      }
-      opts.wire = argv[++i];
     } else if (arg == "--help" || arg == "-h") {
       std::cout
           << "usage: design_server_demo [--store PATH] [--expect-store-hits]"
              " [QUERY.json ...]\n"
-             "       design_server_demo --listen PORT [--store PATH]"
-             " [--wire=text|binary]\n"
+             "       design_server_demo --listen PORT [--store PATH]\n"
              "       design_server_demo --connect HOST:PORT"
-             " [--expect-store-hits] [--wire=text|binary] [QUERY.json ...]\n"
+             " [--expect-store-hits] [QUERY.json ...]\n"
              "       design_server_demo --loopback [--store PATH]"
-             " [--expect-store-hits] [--wire=text|binary] [QUERY.json ...]\n";
+             " [--expect-store-hits] [QUERY.json ...]\n";
       return 0;
     } else {
       opts.query_files.push_back(arg);
     }
   }
-  if (opts.wire.empty()) {
-    const char* env = std::getenv("METACORE_WIRE");
-    if (env != nullptr) opts.wire = env;
-  }
-  if (!opts.wire.empty() && opts.wire != "text" && opts.wire != "binary") {
-    std::cerr << "--wire/METACORE_WIRE must be 'text' or 'binary', got '"
-              << opts.wire << "'\n";
-    return 2;
-  }
-
   try {
     if (opts.listen_port >= 0) return run_listen(opts);
 

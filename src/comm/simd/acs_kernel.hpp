@@ -170,7 +170,8 @@ struct KernelTable {
   QuantizeBlockFn quantize;
 };
 
-// The scalar tier (acs_scalar.cpp, frame_scalar.cpp) is always compiled.
+// The scalar tier (acs_scalar.hpp via dispatch.cpp, frame_scalar.cpp) is
+// always compiled.
 // The vector tiers (vector_kernels.hpp instantiated by tier_sse4.cpp,
 // tier_avx2.cpp, tier_avx512.cpp) exist only when CMake enabled them; the
 // METACORE_SIMD_HAVE_* macros gate the dispatcher, never the callers.
@@ -179,22 +180,6 @@ extern const KernelTable sse4_kernels;
 extern const KernelTable avx2_kernels;
 extern const KernelTable avx512_kernels;
 
-AcsStepResult viterbi_acs_scalar(const std::int32_t* acc,
-                                 std::int32_t* next_acc,
-                                 const std::uint32_t* pred_state,
-                                 const std::uint32_t* pred_symbols,
-                                 const std::int32_t* metric_by_pattern,
-                                 std::uint8_t* survivor_row,
-                                 std::size_t num_states);
-void multires_acs_scalar(const double* acc, double* next_acc,
-                         const std::uint32_t* pred_state,
-                         const std::uint32_t* pred_symbols,
-                         const double* scaled_metric_by_pattern,
-                         std::uint8_t* survivor_row,
-                         double* winning_scaled_metric,
-                         std::size_t num_states);
-void quantize_block_scalar(const double* rx, int* out, std::size_t count,
-                           double step, double offset, int max_level);
 void frame_viterbi_acs_scalar(const std::int32_t* acc, std::int32_t* next_acc,
                               const std::uint32_t* pred_state,
                               const std::uint32_t* pred_symbols,

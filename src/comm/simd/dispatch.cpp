@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "comm/simd/acs_kernel.hpp"
+#include "comm/simd/acs_scalar.hpp"
 
 namespace metacore::comm::simd {
 

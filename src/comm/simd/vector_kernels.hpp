@@ -5,10 +5,10 @@
 // narrowing of decision masks to survivor bytes differ per ISA.
 //
 // Link rule: everything below lives in an anonymous namespace and calls only
-// builtins, intrinsics and the out-of-line scalar reference, never an inline
-// function with external linkage such as std::min: every tier TU would emit
-// its own copy, and the linker may keep the -mavx512f one for baseline
-// callers.
+// builtins, intrinsics and the internal-linkage scalar reference
+// (acs_scalar.hpp), never an inline function with external linkage such as
+// std::min: every tier TU would emit its own copy, and the linker may keep
+// the -mavx512f one for baseline callers.
 //
 // Lane chunking: the frame-parallel kernels (and the quantizer) walk their
 // lanes in chunks of the register width W, then W/2, down to 1, so any lane
@@ -24,6 +24,7 @@
 #include <utility>
 
 #include "comm/simd/acs_kernel.hpp"
+#include "comm/simd/acs_scalar.hpp"
 
 namespace metacore::comm::simd::detail {
 namespace {

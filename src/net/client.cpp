@@ -97,32 +97,13 @@ void DesignClient::connect(const std::string& host, int port,
   }
 
   // A fresh connection is a fresh protocol session: no leftover decoder
-  // bytes, no buffered responses from the old socket, text mode again,
-  // ids from c1, and — the explicit stats lifetime — zeroed counters.
+  // bytes, no buffered responses from the old socket, ids from c1, and —
+  // the explicit stats lifetime — zeroed counters.
   decoder_ = FrameDecoder();
-  binary_decoder_ = BinaryFrameDecoder();
-  wire_ = serve::WireEncoding::Json;
-  preamble_sent_ = false;
   out_of_order_.clear();
   next_seq_ = 0;
   jitter_counter_ = 0;
   stats_ = ClientStats{};
-}
-
-bool DesignClient::negotiate_binary() {
-  if (wire_ == serve::WireEncoding::Binary) return true;
-  Request hello;
-  hello.id = next_id();
-  hello.kind = RequestKind::Hello;
-  hello.wire = "binary";
-  send_raw(to_json(hello));
-  const WireResponse reply = recv_matching(hello.id);
-  if (!reply.ok() || reply.wire != "binary") return false;
-  wire_ = serve::WireEncoding::Binary;
-  // Bytes the server sent behind its hello reply (starting with the
-  // "MCB1" preamble) may already sit in the text decoder: hand them over.
-  binary_decoder_.feed(decoder_.take_buffer());
-  return true;
 }
 
 void DesignClient::send_all(const std::string& bytes) {
@@ -147,11 +128,7 @@ void DesignClient::send_query(const std::string& id,
   request.id = id;
   request.kind = RequestKind::Query;
   request.query = query;
-  if (wire_ == serve::WireEncoding::Binary) {
-    send_binary_frame(encode_binary_request(request));
-  } else {
-    send_raw(to_json(request));
-  }
+  send_raw(to_json(request));
   ++stats_.queries_sent;
 }
 
@@ -159,11 +136,7 @@ void DesignClient::send_stats(const std::string& id) {
   Request request;
   request.id = id;
   request.kind = RequestKind::Stats;
-  if (wire_ == serve::WireEncoding::Binary) {
-    send_binary_frame(encode_binary_request(request));
-  } else {
-    send_raw(to_json(request));
-  }
+  send_raw(to_json(request));
 }
 
 void DesignClient::send_raw(const std::string& payload) {
@@ -173,33 +146,11 @@ void DesignClient::send_raw(const std::string& payload) {
   send_all(framed);
 }
 
-void DesignClient::send_bytes(const std::string& bytes) { send_all(bytes); }
-
-void DesignClient::send_binary_frame(const std::string& payload) {
-  std::string framed;
-  if (!preamble_sent_) {
-    framed.append(kBinaryPreamble.data(), kBinaryPreamble.size());
-    preamble_sent_ = true;
-  }
-  append_binary_frame(framed, payload);
-  send_all(framed);
-}
-
 WireResponse DesignClient::recv_response() {
   if (fd_ < 0) throw std::runtime_error("client is not connected");
   char buf[65536];
   for (;;) {
-    if (wire_ == serve::WireEncoding::Binary) {
-      if (auto frame = binary_decoder_.next()) {
-        if (frame->corrupt) {
-          // The server never ships a damaged frame; this is transport-level
-          // corruption the client cannot recover a response from.
-          throw std::runtime_error("corrupt binary response frame: " +
-                                   frame->reason);
-        }
-        return parse_binary_wire_response(frame->payload);
-      }
-    } else if (auto frame = decoder_.next()) {
+    if (auto frame = decoder_.next()) {
       if (frame->oversized) {
         throw std::runtime_error("response frame exceeds the client limit");
       }
@@ -208,11 +159,7 @@ WireResponse DesignClient::recv_response() {
     const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
     if (n > 0) {
       stats_.wire_bytes_received += static_cast<std::size_t>(n);
-      if (wire_ == serve::WireEncoding::Binary) {
-        binary_decoder_.feed(buf, static_cast<std::size_t>(n));
-      } else {
-        decoder_.feed(buf, static_cast<std::size_t>(n));
-      }
+      decoder_.feed(buf, static_cast<std::size_t>(n));
       continue;
     }
     if (n == 0) {

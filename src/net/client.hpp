@@ -84,31 +84,18 @@ class DesignClient {
   /// "localhost"). `timeout_ms` bounds connect, and every subsequent
   /// send/receive. Throws std::runtime_error on failure. Resets all
   /// per-connection state: stats, decoder buffers, buffered out-of-order
-  /// responses, the id sequence, and the wire mode (back to text).
+  /// responses, and the id sequence.
   void connect(const std::string& host, int port, int timeout_ms = 30000);
 
   bool connected() const noexcept { return fd_ >= 0; }
   void close();
 
-  /// Requests the MCB1 binary wire mode (a blocking hello round trip;
-  /// must be the first request on the connection). Returns true when the
-  /// server granted binary — every subsequent frame in both directions is
-  /// binary — and false when it declined (the connection simply stays in
-  /// text mode; everything keeps working). Throws on transport errors.
-  bool negotiate_binary();
-
-  /// The active wire mode.
-  serve::WireEncoding wire() const noexcept { return wire_; }
-
   /// Multiplexed primitives: frame off one request without waiting.
   void send_query(const std::string& id, const serve::DesignQuery& query);
   void send_stats(const std::string& id);
-  /// Ships an arbitrary payload as one TEXT frame — the malformed/garbage-
-  /// frame tests use this to poke the server off the happy path.
+  /// Ships an arbitrary payload as one frame — the malformed/garbage-frame
+  /// tests use this to poke the server off the happy path.
   void send_raw(const std::string& payload);
-  /// Ships bytes verbatim, no framing at all — the binary corruption-fuzz
-  /// tests build (and damage) their own frames.
-  void send_bytes(const std::string& bytes);
 
   /// Next response envelope in server order (may belong to any in-flight
   /// id). Throws on timeout or connection loss.
@@ -143,17 +130,11 @@ class DesignClient {
 
  private:
   void send_all(const std::string& bytes);
-  /// Frames `payload` as one binary frame (prefixing the one-time "MCB1"
-  /// preamble) and ships it.
-  void send_binary_frame(const std::string& payload);
 
   int fd_ = -1;
   int timeout_ms_ = 30000;
   std::uint64_t next_seq_ = 0;
   FrameDecoder decoder_;
-  serve::WireEncoding wire_ = serve::WireEncoding::Json;
-  BinaryFrameDecoder binary_decoder_;
-  bool preamble_sent_ = false;
   std::map<std::string, WireResponse> out_of_order_;
   RetryPolicy retry_{};
   ClientStats stats_{};

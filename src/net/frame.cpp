@@ -2,35 +2,7 @@
 
 #include <stdexcept>
 
-#include "robust/journal.hpp"
-#include "util/crc32c.hpp"
-
 namespace metacore::net {
-
-namespace {
-
-// Binary framing mirrors robust::frame_record:
-// '#' + 8-hex length + '|' + 8-hex crc + '|' + payload + '\n'.
-constexpr std::size_t kBinaryHeaderBytes = 19;
-
-bool parse_hex8(const char* p, std::uint32_t& out) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    const char c = p[i];
-    v <<= 4;
-    if (c >= '0' && c <= '9') {
-      v |= static_cast<std::uint32_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      v |= static_cast<std::uint32_t>(c - 'a' + 10);
-    } else {
-      return false;
-    }
-  }
-  out = v;
-  return true;
-}
-
-}  // namespace
 
 void append_frame(std::string& out, std::string_view payload) {
   if (payload.find('\n') != std::string_view::npos) {
@@ -90,147 +62,6 @@ std::optional<Frame> FrameDecoder::next() {
     }
     if (frame.payload.empty()) continue;  // blank keep-alive line
     return frame;
-  }
-}
-
-std::string FrameDecoder::take_buffer() {
-  std::string taken = std::move(buffer_);
-  buffer_.clear();
-  return taken;
-}
-
-void append_binary_frame(std::string& out, std::string_view payload) {
-  out += robust::frame_record(payload);
-}
-
-BinaryFrameDecoder::BinaryFrameDecoder(std::size_t max_frame_bytes,
-                                       bool expect_preamble)
-    : max_frame_bytes_(max_frame_bytes == 0 ? kDefaultMaxFrameBytes
-                                            : max_frame_bytes),
-      state_(expect_preamble ? State::Preamble : State::Clean) {}
-
-void BinaryFrameDecoder::feed(const char* data, std::size_t size) {
-  buffer_.append(data, size);
-}
-
-BinaryFrameDecoder::Head BinaryFrameDecoder::parse_head(BinaryFrame* frame,
-                                                        std::string* reason) {
-  if (buffer_.size() < kBinaryHeaderBytes) return Head::NeedMore;
-  if (buffer_[0] != '#' || buffer_[9] != '|' || buffer_[18] != '|') {
-    *reason = "broken binary frame header";
-    return Head::BadResync;
-  }
-  std::uint32_t len = 0;
-  std::uint32_t crc = 0;
-  if (!parse_hex8(buffer_.data() + 1, len) ||
-      !parse_hex8(buffer_.data() + 10, crc)) {
-    *reason = "broken binary frame header";
-    return Head::BadResync;
-  }
-  if (len > max_frame_bytes_) {
-    *reason = "binary frame length " + std::to_string(len) + " exceeds the " +
-              std::to_string(max_frame_bytes_) + "-byte limit";
-    return Head::BadResync;
-  }
-  const std::size_t total = kBinaryHeaderBytes + len + 1;
-  if (buffer_.size() < total) return Head::NeedMore;
-  const std::string_view payload(buffer_.data() + kBinaryHeaderBytes, len);
-  const bool crc_ok = util::crc32c(payload) == crc;
-  const bool term_ok = buffer_[kBinaryHeaderBytes + len] == '\n';
-  if (crc_ok && term_ok) {
-    frame->payload.assign(payload);
-    buffer_.erase(0, total);
-    return Head::Frame;
-  }
-  if (crc_ok || term_ok) {
-    // One of the two trailing checks still validates the length, so the
-    // frame boundary is trusted: consume it whole and stay in sync.
-    *reason = crc_ok ? "binary frame terminator corrupted"
-                     : "binary frame CRC mismatch";
-    buffer_.erase(0, total);
-    return Head::BadSkipFrame;
-  }
-  // Both failed: the length itself is suspect; let the caller rescan.
-  *reason = "binary frame CRC mismatch";
-  return Head::BadResync;
-}
-
-std::optional<BinaryFrame> BinaryFrameDecoder::next() {
-  for (;;) {
-    switch (state_) {
-      case State::Preamble: {
-        if (buffer_.size() < kBinaryPreamble.size()) return std::nullopt;
-        if (std::string_view(buffer_).substr(0, kBinaryPreamble.size()) !=
-            kBinaryPreamble) {
-          state_ = State::Resync;
-          BinaryFrame frame;
-          frame.corrupt = true;
-          frame.reason = "bad MCB1 stream preamble";
-          return frame;
-        }
-        buffer_.erase(0, kBinaryPreamble.size());
-        state_ = State::Clean;
-        continue;
-      }
-      case State::Clean: {
-        std::size_t start = 0;
-        while (start < buffer_.size() && buffer_[start] == '\n') ++start;
-        if (start > 0) buffer_.erase(0, start);  // keep-alive padding
-        if (buffer_.empty()) return std::nullopt;
-        BinaryFrame frame;
-        std::string reason;
-        switch (parse_head(&frame, &reason)) {
-          case Head::NeedMore:
-            return std::nullopt;
-          case Head::Frame:
-            return frame;
-          case Head::BadSkipFrame:
-            frame.corrupt = true;
-            frame.reason = std::move(reason);
-            return frame;
-          case Head::BadResync:
-            state_ = State::Resync;
-            frame.corrupt = true;
-            frame.reason = std::move(reason);
-            return frame;
-        }
-        continue;
-      }
-      case State::Resync: {
-        // Silent recovery: the corrupt event for this damaged region was
-        // already emitted; candidates that fail validation are dropped
-        // without further errors until one full frame checks out.
-        for (;;) {
-          if (!buffer_.empty() && buffer_[0] == '#') {
-            BinaryFrame frame;
-            std::string reason;
-            switch (parse_head(&frame, &reason)) {
-              case Head::NeedMore:
-                return std::nullopt;
-              case Head::Frame:
-                state_ = State::Clean;
-                return frame;
-              case Head::BadSkipFrame:
-                continue;  // boundary trusted but damaged: swallow silently
-              case Head::BadResync:
-                buffer_.erase(0, 1);
-                break;
-            }
-          }
-          const std::size_t pos = buffer_.find("\n#");
-          if (pos == std::string::npos) {
-            // Keep a trailing '\n' — its '#' may still be in flight.
-            if (!buffer_.empty() && buffer_.back() == '\n') {
-              buffer_.erase(0, buffer_.size() - 1);
-            } else {
-              buffer_.clear();
-            }
-            return std::nullopt;
-          }
-          buffer_.erase(0, pos + 1);  // buffer now starts at the candidate '#'
-        }
-      }
-    }
   }
 }
 

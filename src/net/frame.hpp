@@ -1,10 +1,10 @@
 // Wire framing for the networked design-query protocol.
 //
-// Text mode (the default): newline-delimited JSON. One frame is one
-// complete JSON document followed by '\n' (an optional '\r' before the
-// newline is tolerated and stripped, so the protocol is usable from
-// netcat/telnet). Our JSON writers escape control characters, so a
-// document can never contain a raw newline — the delimiter is unambiguous.
+// Newline-delimited JSON: one frame is one complete JSON document followed
+// by '\n' (an optional '\r' before the newline is tolerated and stripped,
+// so the protocol is usable from netcat/telnet). Our JSON writers escape
+// control characters, so a document can never contain a raw newline — the
+// delimiter is unambiguous.
 //
 // FrameDecoder turns an arbitrary byte stream (partial reads, several
 // frames per read, frames split across reads) back into frames, enforcing
@@ -12,26 +12,6 @@
 // the connection survives — the decoder discards until the terminating
 // newline and then emits a Frame with `oversized` set so the caller can
 // answer with a descriptive error and keep the session alive.
-//
-// Binary mode (negotiated via the "hello" request, see net/protocol.hpp):
-// each frame is one robust::frame_record — the journal framing reused on
-// the wire:
-//
-//   '#' <8-hex payload length> '|' <8-hex CRC32C of payload> '|' payload '\n'
-//
-// The payload is arbitrary bytes (the MCB1 envelope of
-// serve/binary_codec.hpp), so unlike text mode the terminating '\n' is a
-// sanity check, not the delimiter — the explicit length is. The stream
-// opens with the 4-byte preamble "MCB1" (each direction sends it once
-// after the mode switch), so a peer that failed to switch is detected on
-// the first byte rather than by a silent CRC mismatch.
-//
-// BinaryFrameDecoder is resilient the same way the journal reader is: a
-// frame whose CRC or framing does not check out yields exactly ONE
-// BinaryFrame with `corrupt` set, then the decoder resynchronizes —
-// silently scanning for the next "\n#" boundary and discarding candidates
-// that fail validation — so a single flipped byte costs one error
-// response, not the connection.
 #pragma once
 
 #include <cstddef>
@@ -76,11 +56,6 @@ class FrameDecoder {
   /// discarded from an oversized line in progress).
   std::size_t buffered() const noexcept { return buffer_.size(); }
 
-  /// Surrenders the buffered-but-undecoded bytes (the buffer is left
-  /// empty). Used at the text→binary mode switch: bytes that arrived in
-  /// the same read as the hello reply belong to the binary decoder.
-  std::string take_buffer();
-
   std::size_t max_frame_bytes() const noexcept { return max_frame_bytes_; }
 
  private:
@@ -88,67 +63,6 @@ class FrameDecoder {
   std::string buffer_;
   bool discarding_ = false;
   std::size_t discarded_ = 0;
-};
-
-/// The 4-byte stream preamble each side sends once after switching to
-/// binary mode.
-inline constexpr std::string_view kBinaryPreamble = "MCB1";
-
-struct BinaryFrame {
-  /// The frame payload (header and terminator stripped, CRC verified).
-  /// Empty and meaningless when `corrupt` is set.
-  std::string payload;
-  /// The frame failed validation (preamble mismatch, broken header, CRC
-  /// mismatch, bad terminator, or an over-limit length). Exactly one
-  /// corrupt frame is emitted per damaged region; the decoder then
-  /// resynchronizes silently.
-  bool corrupt = false;
-  /// Human-readable cause when `corrupt` is set.
-  std::string reason;
-};
-
-/// Appends `payload` to `out` as one binary wire frame
-/// (robust::frame_record framing; the payload may hold arbitrary bytes).
-void append_binary_frame(std::string& out, std::string_view payload);
-
-class BinaryFrameDecoder {
- public:
-  explicit BinaryFrameDecoder(
-      std::size_t max_frame_bytes = kDefaultMaxFrameBytes,
-      bool expect_preamble = true);
-
-  void feed(const char* data, std::size_t size);
-  void feed(std::string_view data) { feed(data.data(), data.size()); }
-
-  /// Extracts the next frame (payload or corrupt marker), or std::nullopt
-  /// when more bytes are needed. Stray '\n' bytes between frames are
-  /// skipped as keep-alive noise.
-  std::optional<BinaryFrame> next();
-
-  std::size_t buffered() const noexcept { return buffer_.size(); }
-  std::size_t max_frame_bytes() const noexcept { return max_frame_bytes_; }
-
- private:
-  enum class State {
-    Preamble,  ///< awaiting the 4-byte "MCB1" stream preamble
-    Clean,     ///< at a frame boundary; failures here emit a corrupt frame
-    Resync,    ///< scanning for "\n#"; failed candidates are silent
-  };
-
-  enum class Head {
-    NeedMore,      ///< incomplete frame; buffer untouched
-    Frame,         ///< valid frame extracted; buffer consumed past it
-    BadSkipFrame,  ///< damaged but length-trusted; whole frame consumed
-    BadResync,     ///< length untrustworthy; buffer untouched
-  };
-
-  /// Attempts to parse one frame at the buffer head (buffer_[0] is the
-  /// candidate '#'). On Frame fills *frame; on Bad* fills *reason.
-  Head parse_head(BinaryFrame* frame, std::string* reason);
-
-  std::size_t max_frame_bytes_;
-  State state_;
-  std::string buffer_;
 };
 
 }  // namespace metacore::net

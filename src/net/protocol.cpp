@@ -1,10 +1,8 @@
 #include "net/protocol.hpp"
 
 #include <cctype>
-#include <cstdint>
 #include <sstream>
 #include <stdexcept>
-#include <utility>
 
 #include "robust/json.hpp"
 
@@ -113,15 +111,9 @@ std::string to_json(const Request& request) {
   os << "{\"id\":";
   robust::write_escaped(os, request.id);
   os << ",\"kind\":\""
-     << (request.kind == RequestKind::Query
-             ? "query"
-             : request.kind == RequestKind::Stats ? "stats" : "hello")
-     << '"';
+     << (request.kind == RequestKind::Query ? "query" : "stats") << '"';
   if (request.kind == RequestKind::Query) {
     os << ",\"query\":" << serve::to_json(request.query);
-  } else if (request.kind == RequestKind::Hello) {
-    os << ",\"wire\":";
-    robust::write_escaped(os, request.wire);
   }
   os << '}';
   return os.str();
@@ -159,19 +151,9 @@ Request parse_request(const std::string& json) {
                                                                  "query"));
   } else if (kind.string == "stats") {
     request.kind = RequestKind::Stats;
-  } else if (kind.string == "hello") {
-    request.kind = RequestKind::Hello;
-    const JsonValue& wire = robust::require(doc, "wire",
-                                            JsonValue::Type::String, kWhat);
-    if (wire.string != "text" && wire.string != "binary") {
-      throw std::runtime_error(std::string(kWhat) +
-                               ": 'wire' must be \"text\" or \"binary\"");
-    }
-    request.wire = wire.string;
   } else {
-    throw std::runtime_error(
-        std::string(kWhat) +
-        ": 'kind' must be \"query\", \"stats\", or \"hello\"");
+    throw std::runtime_error(std::string(kWhat) +
+                             ": 'kind' must be \"query\" or \"stats\"");
   }
   return request;
 }
@@ -231,15 +213,6 @@ std::string make_error_response(const std::string& id,
   return os.str();
 }
 
-std::string make_hello_response(const std::string& id,
-                                const std::string& wire) {
-  std::ostringstream os;
-  os << envelope_prefix(id, "ok") << ",\"wire\":";
-  robust::write_escaped(os, wire);
-  os << '}';
-  return os.str();
-}
-
 WireResponse parse_wire_response(const std::string& json) {
   constexpr const char* what = "response";
   const JsonValue doc = robust::parse_json(json, what);
@@ -270,155 +243,8 @@ WireResponse parse_wire_response(const std::string& json) {
       response.queue_depth = static_cast<std::size_t>(depth->number);
     }
   }
-  if (const JsonValue* wire = doc.find("wire")) {
-    if (wire->type == JsonValue::Type::String) response.wire = wire->string;
-  }
   response.response_json = extract_raw_member(json, "response");
   response.stats_json = extract_raw_member(json, "stats");
-  return response;
-}
-
-namespace {
-
-using serve::bincode::Reader;
-
-constexpr std::uint8_t kBinKindQuery = 0;
-constexpr std::uint8_t kBinKindStats = 1;
-
-constexpr std::uint8_t kBinStatusResponse = 0;
-constexpr std::uint8_t kBinStatusStats = 1;
-constexpr std::uint8_t kBinStatusRejected = 2;
-constexpr std::uint8_t kBinStatusError = 3;
-
-/// Shared prefix of every binary envelope: version byte, tag byte, id.
-std::string binary_envelope_prefix(std::uint8_t tag, const std::string& id) {
-  std::string out;
-  serve::bincode::put_u8(out, serve::kBinaryCodecVersion);
-  serve::bincode::put_u8(out, tag);
-  serve::bincode::put_string(out, id);
-  return out;
-}
-
-/// Reads and validates the version + tag + id prefix of an envelope.
-std::pair<std::uint8_t, std::string> read_binary_prefix(Reader& r) {
-  const std::uint8_t version = r.u8();
-  if (version != serve::kBinaryCodecVersion) {
-    r.fail("unsupported binary envelope version " + std::to_string(version));
-  }
-  const std::uint8_t tag = r.u8();
-  std::string id = r.string();
-  return {tag, std::move(id)};
-}
-
-}  // namespace
-
-std::string encode_binary_request(const Request& request) {
-  if (request.kind == RequestKind::Hello) {
-    throw std::logic_error("hello is negotiated in text mode only");
-  }
-  std::string out = binary_envelope_prefix(
-      request.kind == RequestKind::Query ? kBinKindQuery : kBinKindStats,
-      request.id);
-  if (request.kind == RequestKind::Query) {
-    out += serve::encode_binary(request.query);
-  }
-  return out;
-}
-
-Request decode_binary_request(std::string_view bytes) {
-  Reader r{bytes, "binary request"};
-  auto [kind, id] = read_binary_prefix(r);
-  if (id.empty()) r.fail("'id' must be a non-empty string");
-  if (id.size() > kMaxRequestIdBytes) {
-    r.fail("'id' exceeds " + std::to_string(kMaxRequestIdBytes) + " bytes");
-  }
-  Request request;
-  request.id = std::move(id);
-  if (kind == kBinKindQuery) {
-    request.kind = RequestKind::Query;
-    request.query =
-        serve::decode_design_query(bytes.substr(r.pos));
-  } else if (kind == kBinKindStats) {
-    request.kind = RequestKind::Stats;
-    if (!r.done()) r.fail("trailing bytes after a stats request");
-  } else {
-    r.fail("unknown request kind " + std::to_string(kind));
-  }
-  return request;
-}
-
-std::string best_effort_binary_request_id(std::string_view bytes) {
-  try {
-    Reader r{bytes, "binary request"};
-    auto [kind, id] = read_binary_prefix(r);
-    (void)kind;
-    if (!id.empty() && id.size() <= kMaxRequestIdBytes) return id;
-  } catch (...) {
-    // Unrecoverable frame: the error response carries an empty id.
-  }
-  return {};
-}
-
-std::string make_binary_design_response(const std::string& id,
-                                        std::string_view response_bytes) {
-  std::string out = binary_envelope_prefix(kBinStatusResponse, id);
-  out.append(response_bytes.data(), response_bytes.size());
-  return out;
-}
-
-std::string make_binary_stats_response(const std::string& id,
-                                       const std::string& stats_json) {
-  std::string out = binary_envelope_prefix(kBinStatusStats, id);
-  serve::bincode::put_string(out, stats_json);
-  return out;
-}
-
-std::string make_binary_rejected_response(const std::string& id,
-                                          const std::string& reason,
-                                          std::size_t queue_depth) {
-  std::string out = binary_envelope_prefix(kBinStatusRejected, id);
-  serve::bincode::put_string(out, reason);
-  serve::bincode::put_varint(out, queue_depth);
-  return out;
-}
-
-std::string make_binary_error_response(const std::string& id,
-                                       const std::string& message) {
-  std::string out = binary_envelope_prefix(kBinStatusError, id);
-  serve::bincode::put_string(out, message);
-  return out;
-}
-
-WireResponse parse_binary_wire_response(std::string_view bytes) {
-  Reader r{bytes, "binary response"};
-  auto [status, id] = read_binary_prefix(r);
-  WireResponse response;
-  response.id = std::move(id);
-  switch (status) {
-    case kBinStatusResponse: {
-      response.status = "ok";
-      const serve::DesignResponse decoded =
-          serve::decode_design_response(bytes.substr(r.pos));
-      response.response_json = serve::to_json(decoded);
-      return response;
-    }
-    case kBinStatusStats:
-      response.status = "ok";
-      response.stats_json = r.string();
-      break;
-    case kBinStatusRejected:
-      response.status = "rejected";
-      response.reason = r.string();
-      response.queue_depth = static_cast<std::size_t>(r.varint());
-      break;
-    case kBinStatusError:
-      response.status = "error";
-      response.reason = r.string();
-      break;
-    default:
-      r.fail("unknown response status " + std::to_string(status));
-  }
-  if (!r.done()) r.fail("trailing bytes after the envelope");
   return response;
 }
 

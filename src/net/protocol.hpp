@@ -1,9 +1,7 @@
 // Request/response envelopes for the networked design-query protocol.
 //
-// Every frame on the wire is one JSON object (until binary mode is
-// negotiated — see below). Client → server:
+// Every frame on the wire is one JSON object. Client → server:
 //
-//   {"id":"r0","kind":"hello","wire":"binary"}
 //   {"id":"r1","kind":"query","query":{...DesignQuery...}}
 //   {"id":"r2","kind":"stats"}
 //
@@ -27,32 +25,10 @@
 // as raw pre-serialized JSON and can be extracted back *byte-exactly* with
 // extract_raw_member — so a response that crossed the wire compares
 // byte-identical against serve::to_json of an in-process answer.
-//
-// Wire-mode negotiation: a client that wants the MCB1 binary mode sends
-// `{"id":..,"kind":"hello","wire":"binary"}` as the FIRST request on the
-// connection (a hello after any query/stats request is an error). The
-// server answers in text with `{"id":..,"status":"ok","wire":"binary"}`
-// when it accepts (both sides then switch: each sends the 4-byte "MCB1"
-// stream preamble once, and every subsequent frame is a
-// robust::frame_record carrying a binary envelope), or with
-// `"wire":"text"` when binary is disabled — the connection simply stays
-// in text mode, so a binary-capable client talking to a text-only server
-// degrades transparently. A text client never sends hello and is
-// unaffected.
-//
-// Binary envelopes (encode_binary_request / parse_binary_wire_response)
-// carry the same information as the JSON ones: a version byte, a kind or
-// status byte, the id, and the payload — a serve/binary_codec document
-// for queries and responses, the stats JSON text for stats (stats are a
-// diagnostic surface, not a hot path). The response body is a contiguous
-// suffix of the envelope, so the server splices pre-encoded (and cached)
-// response bytes straight into the frame.
 #pragma once
 
 #include <string>
-#include <string_view>
 
-#include "serve/binary_codec.hpp"
 #include "serve/service.hpp"
 
 namespace metacore::net {
@@ -60,13 +36,12 @@ namespace metacore::net {
 /// Upper bound on request-id length; longer ids are a malformed request.
 inline constexpr std::size_t kMaxRequestIdBytes = 256;
 
-enum class RequestKind : int { Query = 0, Stats = 1, Hello = 2 };
+enum class RequestKind : int { Query = 0, Stats = 1 };
 
 struct Request {
   std::string id;
   RequestKind kind = RequestKind::Query;
   serve::DesignQuery query;  ///< meaningful only when kind == Query
-  std::string wire;          ///< requested mode ("text"/"binary"), Hello only
 };
 
 /// Canonical encoding (stable field order, round-trip doubles).
@@ -91,9 +66,6 @@ std::string make_rejected_response(const std::string& id,
                                    std::size_t queue_depth);
 std::string make_error_response(const std::string& id,
                                 const std::string& message);
-/// The text reply to a hello: {"id":..,"status":"ok","wire":"binary"|"text"}.
-std::string make_hello_response(const std::string& id,
-                                const std::string& wire);
 
 /// One parsed server → client envelope.
 struct WireResponse {
@@ -102,57 +74,16 @@ struct WireResponse {
   std::string reason;  ///< rejection reason or error message; "" when ok
   std::size_t queue_depth = 0;  ///< populated on "rejected"
   /// Raw JSON text of the "response" member, byte-exact as serialized by
-  /// the server; "" when the envelope carried none. For a binary envelope
-  /// this is the decoded DesignResponse re-serialized through the
-  /// canonical writer — byte-identical to the text-mode answer, which is
-  /// how the lossless-round-trip pin works.
+  /// the server; "" when the envelope carried none.
   std::string response_json;
   /// Raw JSON text of the "stats" member; "" when absent.
   std::string stats_json;
-  /// The "wire" member of a hello reply; "" otherwise.
-  std::string wire;
 
   bool ok() const noexcept { return status == "ok"; }
   bool rejected() const noexcept { return status == "rejected"; }
 };
 
 WireResponse parse_wire_response(const std::string& json);
-
-// --- MCB1 binary envelopes (negotiated mode) -----------------------------
-//
-// Request:  version u8, kind u8 (0 = query, 1 = stats), id string,
-//           [DesignQuery document] (kind 0 only, runs to the end).
-// Response: version u8, status u8 (0 = ok+response, 1 = ok+stats,
-//           2 = rejected, 3 = error), id string, then per status:
-//           0 → DesignResponse document (contiguous suffix — spliceable),
-//           1 → stats JSON string, 2 → reason string + queue-depth varint,
-//           3 → message string.
-
-std::string encode_binary_request(const Request& request);
-/// Throws std::runtime_error (descriptive) on malformed bytes, a bad
-/// version, an unknown kind, an invalid id, or a broken query document.
-Request decode_binary_request(std::string_view bytes);
-
-/// Best-effort id recovery from a binary frame that failed
-/// decode_binary_request; "" when unrecoverable.
-std::string best_effort_binary_request_id(std::string_view bytes);
-
-/// Binary response-envelope builders; `response_bytes` is a pre-encoded
-/// serve::encode_binary(DesignResponse) document appended verbatim.
-std::string make_binary_design_response(const std::string& id,
-                                        std::string_view response_bytes);
-std::string make_binary_stats_response(const std::string& id,
-                                       const std::string& stats_json);
-std::string make_binary_rejected_response(const std::string& id,
-                                          const std::string& reason,
-                                          std::size_t queue_depth);
-std::string make_binary_error_response(const std::string& id,
-                                       const std::string& message);
-
-/// Decodes a binary envelope into the same WireResponse shape as text
-/// mode: an ok+response envelope has its body decoded and re-serialized
-/// into `response_json` via the canonical writer.
-WireResponse parse_binary_wire_response(std::string_view bytes);
 
 /// Returns the raw text of top-level member `key` in JSON object `json`
 /// (exactly the bytes of its value, braces to braces), or "" when absent.

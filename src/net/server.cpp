@@ -49,47 +49,6 @@ std::size_t env_size(const char* name, std::size_t fallback) {
   return static_cast<std::size_t>(value);
 }
 
-bool env_bool(const char* name, bool fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || env[0] == '\0') return fallback;
-  const std::string value(env);
-  if (value == "0") return false;
-  if (value == "1") return true;
-  throw std::invalid_argument(std::string(name) + " must be '0' or '1', got '" +
-                              value + "'");
-}
-
-/// Per-wire-mode response builders: one call site per status, so the
-/// admission path reads the same in both modes.
-std::string error_envelope(serve::WireEncoding encoding, const std::string& id,
-                           const std::string& message) {
-  return encoding == serve::WireEncoding::Binary
-             ? make_binary_error_response(id, message)
-             : make_error_response(id, message);
-}
-
-std::string rejected_envelope(serve::WireEncoding encoding,
-                              const std::string& id, const std::string& reason,
-                              std::size_t queue_depth) {
-  return encoding == serve::WireEncoding::Binary
-             ? make_binary_rejected_response(id, reason, queue_depth)
-             : make_rejected_response(id, reason, queue_depth);
-}
-
-std::string stats_envelope(serve::WireEncoding encoding, const std::string& id,
-                           const std::string& stats_json) {
-  return encoding == serve::WireEncoding::Binary
-             ? make_binary_stats_response(id, stats_json)
-             : make_stats_response(id, stats_json);
-}
-
-std::string design_envelope(serve::WireEncoding encoding, const std::string& id,
-                            const std::string& body) {
-  return encoding == serve::WireEncoding::Binary
-             ? make_binary_design_response(id, body)
-             : make_design_response(id, body);
-}
-
 }  // namespace
 
 ServerConfig ServerConfig::from_env() {
@@ -105,8 +64,6 @@ ServerConfig ServerConfig::from_env() {
                                 std::to_string(kMaxWorkers) + ", got " +
                                 std::to_string(config.search_workers));
   }
-  config.enable_binary = env_bool("METACORE_SERVER_BINARY",
-                                  config.enable_binary);
   return config;
 }
 
@@ -119,8 +76,6 @@ std::string to_json(const ServerStats& stats) {
      << ",\"queries_rejected\":" << stats.queries_rejected
      << ",\"query_errors\":" << stats.query_errors
      << ",\"stats_requests\":" << stats.stats_requests
-     << ",\"hello_requests\":" << stats.hello_requests
-     << ",\"binary_connections\":" << stats.binary_connections
      << ",\"malformed_frames\":" << stats.malformed_frames
      << ",\"oversized_frames\":" << stats.oversized_frames
      << ",\"dropped_responses\":" << stats.dropped_responses
@@ -145,15 +100,6 @@ struct DesignServer::Connection {
   int fd = -1;
   std::uint64_t id = 0;
   FrameDecoder decoder;
-  /// The negotiated wire mode; Json until a hello switches it. Fixed for
-  /// the life of the connection once any query/stats request is admitted,
-  /// so in-flight completions always frame correctly.
-  serve::WireEncoding encoding = serve::WireEncoding::Json;
-  /// Decodes the stream after the binary switch (expects the client's
-  /// "MCB1" preamble first).
-  BinaryFrameDecoder binary_decoder;
-  /// A query or stats request was handled; hello is no longer legal.
-  bool saw_request = false;
   /// Response frames awaiting the socket; the front one may be partially
   /// written (outbox_offset bytes already sent).
   std::deque<std::string> outbox;
@@ -161,15 +107,13 @@ struct DesignServer::Connection {
   bool epollout_armed = false;
 
   explicit Connection(std::size_t max_frame_bytes)
-      : decoder(max_frame_bytes),
-        binary_decoder(max_frame_bytes, /*expect_preamble=*/true) {}
+      : decoder(max_frame_bytes) {}
 };
 
 struct DesignServer::PendingQuery {
   std::uint64_t conn_id = 0;
   std::string request_id;
   serve::DesignQuery query;
-  serve::WireEncoding encoding = serve::WireEncoding::Json;
   std::chrono::steady_clock::time_point arrival;
 };
 
@@ -471,23 +415,9 @@ void DesignServer::connection_readable(Connection& conn) {
   for (;;) {
     const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
     if (n > 0) {
-      if (conn.encoding == serve::WireEncoding::Binary) {
-        conn.binary_decoder.feed(buf, static_cast<std::size_t>(n));
-      } else {
-        conn.decoder.feed(buf, static_cast<std::size_t>(n));
-      }
-      // The mode can flip mid-buffer (a hello followed by binary frames in
-      // one read), so re-check the encoding every iteration.
-      for (;;) {
-        if (conn.encoding == serve::WireEncoding::Binary) {
-          auto frame = conn.binary_decoder.next();
-          if (!frame) break;
-          handle_binary_frame(conn, *frame);
-        } else {
-          auto frame = conn.decoder.next();
-          if (!frame) break;
-          handle_frame(conn, *frame);
-        }
+      conn.decoder.feed(buf, static_cast<std::size_t>(n));
+      while (auto frame = conn.decoder.next()) {
+        handle_frame(conn, *frame);
         // Handling writes the response; a dead socket closes the
         // connection out from under us.
         if (connections_.find(id) == connections_.end()) return;
@@ -537,87 +467,12 @@ void DesignServer::handle_frame(Connection& conn, const Frame& frame) {
     return;
   }
 
-  if (request.kind == RequestKind::Hello) {
-    handle_hello(conn, request);
-    return;
-  }
-  admit_request(conn, std::move(request));
-}
-
-void DesignServer::handle_binary_frame(Connection& conn,
-                                       const BinaryFrame& frame) {
-  if (frame.corrupt) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.malformed_frames;
-    }
-    enqueue_response(
-        conn, make_binary_error_response(
-                  "", frame.reason + "; the request id could not be recovered"));
-    return;
-  }
-
-  Request request;
-  try {
-    request = decode_binary_request(frame.payload);
-  } catch (const std::exception& e) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.malformed_frames;
-    }
-    enqueue_response(
-        conn, make_binary_error_response(
-                  best_effort_binary_request_id(frame.payload), e.what()));
-    return;
-  }
-  admit_request(conn, std::move(request));
-}
-
-bool DesignServer::handle_hello(Connection& conn, const Request& request) {
-  const std::uint64_t id = conn.id;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.hello_requests;
-  }
-  if (conn.saw_request) {
-    enqueue_response(
-        conn, make_error_response(
-                  request.id,
-                  "hello must precede every query on the connection"));
-    return connections_.find(id) != connections_.end();
-  }
-  const bool binary = request.wire == "binary" && config_.enable_binary;
-  // The reply is always text (the client is still reading text frames);
-  // on a grant the 4-byte stream preamble follows in the same write, and
-  // everything after it is binary.
-  std::string bytes;
-  append_frame(bytes, make_hello_response(request.id,
-                                          binary ? "binary" : "text"));
-  if (binary) bytes.append(kBinaryPreamble.data(), kBinaryPreamble.size());
-  conn.outbox.push_back(std::move(bytes));
-  if (!flush_outbox(conn)) return false;
-  if (connections_.find(id) == connections_.end()) return false;
-  if (binary) {
-    conn.encoding = serve::WireEncoding::Binary;
-    // Bytes that arrived behind the hello in the same read already sit in
-    // the text decoder; they are the start of the binary stream.
-    const std::string leftover = conn.decoder.take_buffer();
-    conn.binary_decoder.feed(leftover.data(), leftover.size());
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.binary_connections;
-  }
-  return true;
-}
-
-void DesignServer::admit_request(Connection& conn, Request&& request) {
-  const serve::WireEncoding encoding = conn.encoding;
-  conn.saw_request = true;
   if (request.kind == RequestKind::Stats) {
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.stats_requests;
     }
-    enqueue_response(conn, stats_envelope(encoding, request.id, stats_json()));
+    enqueue_response(conn, make_stats_response(request.id, stats_json()));
     return;
   }
 
@@ -639,8 +494,7 @@ void DesignServer::admit_request(Connection& conn, Request&& request) {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.queries_rejected;
     }
-    enqueue_response(conn,
-                     rejected_envelope(encoding, request.id, reason, depth));
+    enqueue_response(conn, make_rejected_response(request.id, reason, depth));
     return;
   }
 
@@ -653,7 +507,6 @@ void DesignServer::admit_request(Connection& conn, Request&& request) {
   pending.conn_id = conn.id;
   pending.request_id = request.id;
   pending.query = std::move(request.query);
-  pending.encoding = encoding;
   pending.arrival = std::chrono::steady_clock::now();
   Worker& worker = *workers_[route];
   total_pending_.fetch_add(1);
@@ -685,12 +538,8 @@ std::size_t DesignServer::route_query(const serve::DesignQuery& query) const {
 void DesignServer::enqueue_response(Connection& conn,
                                     const std::string& envelope) {
   std::string framed;
-  if (conn.encoding == serve::WireEncoding::Binary) {
-    append_binary_frame(framed, envelope);
-  } else {
-    framed.reserve(envelope.size() + 1);
-    append_frame(framed, envelope);
-  }
+  framed.reserve(envelope.size() + 1);
+  append_frame(framed, envelope);
   conn.outbox.push_back(std::move(framed));
   flush_outbox(conn);
 }
@@ -796,10 +645,9 @@ void DesignServer::worker_loop(Worker& worker) {
     total_in_flight_.fetch_add(batch.size());
     total_pending_.fetch_sub(batch.size());
 
-    std::vector<serve::DesignService::EncodedQuery> items(batch.size());
+    std::vector<serve::DesignQuery> queries(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      items[i].query = batch[i].query;
-      items[i].encoding = batch[i].encoding;
+      queries[i] = batch[i].query;
     }
 
     std::vector<std::string> envelopes(batch.size());
@@ -808,12 +656,11 @@ void DesignServer::worker_loop(Worker& worker) {
     try {
       // The encoded path: the service answers with pre-serialized response
       // bodies (cached when the scope held still), spliced straight into
-      // the per-mode envelope — no re-serialization on the hot path.
+      // the envelope — no re-serialization on the hot path.
       const std::vector<std::shared_ptr<const std::string>> bodies =
-          service_->submit_batch_encoded(items);
+          service_->submit_batch_encoded(queries);
       for (std::size_t i = 0; i < batch.size(); ++i) {
-        envelopes[i] =
-            design_envelope(batch[i].encoding, batch[i].request_id, *bodies[i]);
+        envelopes[i] = make_design_response(batch[i].request_id, *bodies[i]);
       }
       served = batch.size();
     } catch (...) {
@@ -822,13 +669,11 @@ void DesignServer::worker_loop(Worker& worker) {
       // answer and only the bad one carries an error envelope.
       for (std::size_t i = 0; i < batch.size(); ++i) {
         try {
-          envelopes[i] = design_envelope(
-              batch[i].encoding, batch[i].request_id,
-              *service_->submit_encoded(items[i].query, items[i].encoding));
+          envelopes[i] = make_design_response(
+              batch[i].request_id, *service_->submit_encoded(queries[i]));
           ++served;
         } catch (const std::exception& e) {
-          envelopes[i] = error_envelope(batch[i].encoding, batch[i].request_id,
-                                        e.what());
+          envelopes[i] = make_error_response(batch[i].request_id, e.what());
           ++errors;
         }
       }

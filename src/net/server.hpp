@@ -67,8 +67,6 @@
 
 namespace metacore::net {
 
-struct Request;  // net/protocol.hpp
-
 struct ServerConfig {
   /// Bind address; loopback by default (a deployment fronting real
   /// traffic sets "0.0.0.0" explicitly).
@@ -91,16 +89,10 @@ struct ServerConfig {
   /// is one extra). 0 = hardware concurrency, resolved at start().
   /// Env: METACORE_SERVER_WORKERS (positive; capped at 128).
   std::size_t search_workers = 0;
-  /// Whether a client hello asking for the MCB1 binary wire mode is
-  /// granted. When false the server answers hello with "wire":"text" and
-  /// the connection stays on newline-delimited JSON — the downgrade path
-  /// a binary-capable client must survive. Env: METACORE_SERVER_BINARY
-  /// ("0"/"1").
-  bool enable_binary = true;
 
   /// Defaults with METACORE_SERVER_QUEUE / METACORE_SERVER_MAX_FRAME /
-  /// METACORE_SERVER_WORKERS / METACORE_SERVER_BINARY applied; throws
-  /// std::invalid_argument on malformed values.
+  /// METACORE_SERVER_WORKERS applied; throws std::invalid_argument on
+  /// malformed values.
   static ServerConfig from_env();
 };
 
@@ -115,10 +107,6 @@ struct ServerStats {
   std::size_t queries_rejected = 0;  ///< overloaded/draining rejections
   std::size_t query_errors = 0;      ///< queries answered with status error
   std::size_t stats_requests = 0;
-  std::size_t hello_requests = 0;    ///< wire-mode negotiation frames
-  /// Connections that negotiated the MCB1 binary wire mode (cumulative,
-  /// like accepted_connections).
-  std::size_t binary_connections = 0;
   std::size_t malformed_frames = 0;  ///< frames failing parse_request
   std::size_t oversized_frames = 0;  ///< frames over max_frame_bytes
   std::size_t dropped_responses = 0; ///< connection died before delivery
@@ -196,14 +184,9 @@ class DesignServer {
   void accept_ready();
   void connection_readable(Connection& conn);
   void connection_writable(Connection& conn);
+  /// Parses one frame: stats are answered inline, queries admitted (or
+  /// rejected) into the worker queues.
   void handle_frame(Connection& conn, const Frame& frame);
-  void handle_binary_frame(Connection& conn, const BinaryFrame& frame);
-  /// Wire-mode negotiation (text-only; must precede any query/stats).
-  /// Returns false when the connection died mid-reply.
-  bool handle_hello(Connection& conn, const Request& request);
-  /// Mode-independent request handling: stats answered inline, queries
-  /// admitted (or rejected) into the worker queues.
-  void admit_request(Connection& conn, Request&& request);
   void enqueue_response(Connection& conn, const std::string& envelope);
   /// Flushes as much of the outbox as the socket accepts; closes the
   /// connection on a write error. Returns false when the connection died.

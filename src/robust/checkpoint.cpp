@@ -134,34 +134,33 @@ SearchCheckpoint load_checkpoint(const std::string& path) {
   buf << in.rdbuf();
   const std::string text = buf.str();
 
-  std::string doc;
-  if (looks_like_journal(text)) {
-    const JournalReadResult framed = read_journal_text(text, kWhat);
-    if (framed.header.kind != kMagic) {
-      throw std::runtime_error("checkpoint: " + path +
-                               " is not a metacore search checkpoint");
-    }
-    if (framed.header.kind_version != kCheckpointVersion) {
-      throw std::runtime_error(
-          "checkpoint: unsupported version " +
-          std::to_string(framed.header.kind_version) +
-          " (this build reads version " + std::to_string(kCheckpointVersion) +
-          ")");
-    }
-    if (framed.records.size() != 1) {
-      std::string detail = framed.skip_reasons.empty()
-                               ? std::string("truncated or torn file")
-                               : framed.skip_reasons.front();
-      throw std::runtime_error(
-          "checkpoint: " + path + " does not hold one intact record (" +
-          detail + ") — save_checkpoint publishes atomically, so this is "
-          "external damage, refusing to guess");
-    }
-    doc = framed.records.front();
-  } else {
-    // Legacy (pre-journal) checkpoints: one bare JSON document.
-    doc = text;
+  if (!looks_like_journal(text)) {
+    throw std::runtime_error("checkpoint: " + path +
+                             " is not a journal-framed metacore search "
+                             "checkpoint");
   }
+  const JournalReadResult framed = read_journal_text(text, kWhat);
+  if (framed.header.kind != kMagic) {
+    throw std::runtime_error("checkpoint: " + path +
+                             " is not a metacore search checkpoint");
+  }
+  if (framed.header.kind_version != kCheckpointVersion) {
+    throw std::runtime_error(
+        "checkpoint: unsupported version " +
+        std::to_string(framed.header.kind_version) +
+        " (this build reads version " + std::to_string(kCheckpointVersion) +
+        ")");
+  }
+  if (framed.records.size() != 1) {
+    std::string detail = framed.skip_reasons.empty()
+                             ? std::string("truncated or torn file")
+                             : framed.skip_reasons.front();
+    throw std::runtime_error(
+        "checkpoint: " + path + " does not hold one intact record (" +
+        detail + ") — save_checkpoint publishes atomically, so this is "
+        "external damage, refusing to guess");
+  }
+  const std::string& doc = framed.records.front();
 
   const JsonValue root = parse_json(doc, kWhat);
   if (root.type != JsonValue::Type::Object) {

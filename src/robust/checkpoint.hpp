@@ -58,10 +58,10 @@ struct SearchCheckpoint {
 void save_checkpoint(const std::string& path,
                      const SearchCheckpoint& checkpoint);
 
-/// Parses a checkpoint written by save_checkpoint (this framed format or
-/// the legacy bare-JSON one). Throws std::runtime_error on I/O failure, a
-/// checksum mismatch, malformed JSON, a missing field, or a version
-/// mismatch.
+/// Parses a checkpoint written by save_checkpoint. Throws
+/// std::runtime_error on I/O failure, a file that is not journal-framed
+/// (naming the path), a checksum mismatch, malformed JSON, a missing
+/// field, or a version mismatch.
 SearchCheckpoint load_checkpoint(const std::string& path);
 
 bool checkpoint_exists(const std::string& path);

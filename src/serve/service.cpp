@@ -15,7 +15,6 @@
 #include "robust/checkpoint.hpp"
 #include "robust/json.hpp"
 #include "search/pareto.hpp"
-#include "serve/binary_codec.hpp"
 
 namespace metacore::serve {
 
@@ -76,12 +75,6 @@ search::Objective query_objective(const DesignQuery& query,
   if (!query.minimize.empty()) base.minimize = query.minimize;
   if (!query.constraints.empty()) base.constraints = query.constraints;
   return base;
-}
-
-std::string encode_response(const DesignResponse& response,
-                            WireEncoding encoding) {
-  return encoding == WireEncoding::Binary ? encode_binary(response)
-                                          : to_json(response);
 }
 
 /// Cache cap: METACORE_RESPONSE_CACHE when set (0 disables), else the
@@ -387,11 +380,9 @@ std::vector<DesignResponse> DesignService::submit_batch(
 }
 
 std::shared_ptr<const std::string> DesignService::submit_encoded(
-    const DesignQuery& query, WireEncoding encoding) {
-  const auto slot = static_cast<std::size_t>(encoding);
+    const DesignQuery& query, WireEncoding) {
   if (cache_capacity_ == 0) {
-    return std::make_shared<const std::string>(
-        encode_response(submit(query), encoding));
+    return std::make_shared<const std::string>(to_json(submit(query)));
   }
 
   // An unconstructible query (bad requirements) has no evaluator scope to
@@ -400,8 +391,7 @@ std::shared_ptr<const std::string> DesignService::submit_encoded(
   try {
     fingerprint = query_fingerprint(query);
   } catch (...) {
-    return std::make_shared<const std::string>(
-        encode_response(submit(query), encoding));
+    return std::make_shared<const std::string>(to_json(submit(query)));
   }
 
   const std::string key = to_json(query);
@@ -412,20 +402,13 @@ std::shared_ptr<const std::string> DesignService::submit_encoded(
     if (it != response_cache_.end()) {
       if (it->second.gen == g0) {
         // Valid entry: the scope has not moved since the cached run, so a
-        // fresh submit() would reproduce these exact bytes. A missing
-        // encoding is filled from the cached struct — still zero
-        // re-search.
-        auto& encoded = it->second.encoded[slot];
-        if (!encoded) {
-          encoded = std::make_shared<const std::string>(
-              encode_response(it->second.response, encoding));
-        }
+        // fresh submit() would reproduce these exact bytes.
         {
           std::lock_guard<std::mutex> stats_lock(stats_mutex_);
           ++stats_.queries;
           ++stats_.response_cache_hits;
         }
-        return encoded;
+        return it->second.bytes;
       }
       // The store or archive generation moved: the entry may no longer
       // match what a fresh run would answer (store_hits, archive
@@ -440,55 +423,43 @@ std::shared_ptr<const std::string> DesignService::submit_encoded(
     ++stats_.response_cache_misses;
   }
 
-  DesignResponse response = submit(query);
+  auto bytes = std::make_shared<const std::string>(to_json(submit(query)));
   const Generation g1 = current_generation(fingerprint);
-  auto bytes = std::make_shared<const std::string>(
-      encode_response(response, encoding));
   // Cache only runs that left their scope unchanged (g1 == g0): a cold
   // search appends to the store, so its repeat would answer differently
   // (store_hits) — the *repeat* is the run that becomes cacheable.
   if (g1 == g0) {
     std::lock_guard<std::mutex> cache_lock(cache_mutex_);
     auto [it, inserted] = response_cache_.try_emplace(key);
+    if (inserted || it->second.gen != g1) {
+      it->second = CachedResponse{g1, bytes};
+    }
     if (inserted) {
       cache_fifo_.push_back(key);
-      it->second.gen = g1;
-      it->second.response = std::move(response);
       // FIFO eviction, skipping keys an invalidation already erased.
       while (response_cache_.size() > cache_capacity_ &&
              !cache_fifo_.empty()) {
         response_cache_.erase(cache_fifo_.front());
         cache_fifo_.erase(cache_fifo_.begin());
       }
-    } else if (it->second.gen != g1) {
-      it->second = CachedResponse{};
-      it->second.gen = g1;
-      it->second.response = std::move(response);
-    }
-    auto refreshed = response_cache_.find(key);
-    if (refreshed != response_cache_.end() && refreshed->second.gen == g1) {
-      refreshed->second.encoded[slot] = bytes;
     }
   }
   return bytes;
 }
 
 std::vector<std::shared_ptr<const std::string>>
-DesignService::submit_batch_encoded(const std::vector<EncodedQuery>& items) {
-  std::vector<std::shared_ptr<const std::string>> out(items.size());
-  if (items.empty()) return out;
+DesignService::submit_batch_encoded(const std::vector<DesignQuery>& queries) {
+  std::vector<std::shared_ptr<const std::string>> out(queries.size());
+  if (queries.empty()) return out;
 
-  // Deduplicate identical (query, encoding) pairs up front — same
-  // rationale as submit_batch: byte-identical output at any thread count.
-  std::map<std::pair<std::string, int>, std::size_t> first_of;
-  std::vector<std::size_t> slot_of(items.size());
+  // Deduplicate identical queries up front — same rationale as
+  // submit_batch: byte-identical output at any thread count.
+  std::map<std::string, std::size_t> first_of;
+  std::vector<std::size_t> slot_of(queries.size());
   std::vector<std::size_t> unique;
   std::size_t duplicates = 0;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    auto [it, inserted] = first_of.emplace(
-        std::make_pair(to_json(items[i].query),
-                       static_cast<int>(items[i].encoding)),
-        unique.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    auto [it, inserted] = first_of.emplace(to_json(queries[i]), unique.size());
     if (inserted) {
       unique.push_back(i);
     } else {
@@ -506,7 +477,7 @@ DesignService::submit_batch_encoded(const std::vector<EncodedQuery>& items) {
   // submit_batch); distinct scopes fan out in parallel.
   std::map<std::string, std::vector<std::size_t>> by_fingerprint;
   for (std::size_t u = 0; u < unique.size(); ++u) {
-    by_fingerprint[query_fingerprint(items[unique[u]].query)].push_back(u);
+    by_fingerprint[query_fingerprint(queries[unique[u]])].push_back(u);
   }
   std::vector<const std::vector<std::size_t>*> groups;
   groups.reserve(by_fingerprint.size());
@@ -517,12 +488,11 @@ DesignService::submit_batch_encoded(const std::vector<EncodedQuery>& items) {
   std::vector<std::shared_ptr<const std::string>> unique_out(unique.size());
   exec::parallel_for(groups.size(), [&](std::size_t g) {
     for (const std::size_t u : *groups[g]) {
-      const EncodedQuery& item = items[unique[u]];
-      unique_out[u] = submit_encoded(item.query, item.encoding);
+      unique_out[u] = submit_encoded(queries[unique[u]]);
     }
   });
 
-  for (std::size_t i = 0; i < items.size(); ++i) {
+  for (std::size_t i = 0; i < queries.size(); ++i) {
     out[i] = unique_out[slot_of[i]];
   }
   return out;

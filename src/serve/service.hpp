@@ -121,11 +121,10 @@ struct DesignResponse {
 
 std::string to_json(const DesignResponse& response);
 
-/// The wire encodings a response can be serialized into: canonical text
-/// JSON (the default wire mode) and the MCB1 binary form
-/// (serve/binary_codec.hpp). Used as the per-encoding key of the
-/// serialized-response cache below.
-enum class WireEncoding : int { Json = 0, Binary = 1 };
+/// The encoding of a serialized response body. Canonical JSON is the only
+/// wire format; the enum stays so existing callers that name the encoding
+/// explicitly (submit_encoded(query, WireEncoding::Json)) keep compiling.
+enum class WireEncoding : int { Json = 0 };
 
 struct ServiceStats {
   std::size_t queries = 0;           ///< submits (batch entries included)
@@ -178,8 +177,8 @@ class DesignService {
   std::vector<DesignResponse> submit_batch(
       const std::vector<DesignQuery>& queries);
 
-  /// The serving hot path: answers the query as encoded response-body
-  /// bytes (canonical JSON or MCB1 binary), consulting the
+  /// The serving hot path: answers the query as canonical-JSON
+  /// response-body bytes, consulting the
   /// serialized-response cache first. A repeat of an identical query whose
   /// evaluator scope held still (same store shard + archive generation) is
   /// answered from the cached bytes with zero re-search and zero
@@ -188,20 +187,15 @@ class DesignService {
   /// around their run and only cached when the run itself left the scope
   /// unchanged — so a cached answer is always byte-identical to what a
   /// fresh submit() would produce right now.
-  std::shared_ptr<const std::string> submit_encoded(const DesignQuery& query,
-                                                    WireEncoding encoding);
+  std::shared_ptr<const std::string> submit_encoded(
+      const DesignQuery& query, WireEncoding encoding = WireEncoding::Json);
 
-  struct EncodedQuery {
-    DesignQuery query;
-    WireEncoding encoding = WireEncoding::Json;
-  };
-
-  /// Batch form of submit_encoded: deduplicates identical (query,
-  /// encoding) pairs, groups by evaluator fingerprint (same-scope queries
-  /// run sequentially in batch order), and fans the groups out across the
-  /// exec thread pool — same determinism contract as submit_batch.
+  /// Batch form of submit_encoded: deduplicates identical queries, groups
+  /// by evaluator fingerprint (same-scope queries run sequentially in
+  /// batch order), and fans the groups out across the exec thread pool —
+  /// same determinism contract as submit_batch.
   std::vector<std::shared_ptr<const std::string>> submit_batch_encoded(
-      const std::vector<EncodedQuery>& items);
+      const std::vector<DesignQuery>& queries);
 
   /// Entries currently held by the serialized-response cache.
   std::size_t response_cache_size() const;
@@ -229,9 +223,7 @@ class DesignService {
 
   struct CachedResponse {
     Generation gen{};
-    DesignResponse response;
-    /// Lazily filled per encoding, indexed by WireEncoding.
-    std::shared_ptr<const std::string> encoded[2];
+    std::shared_ptr<const std::string> bytes;
   };
 
   /// Executes the query for real (search or archive answer).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -20,7 +19,6 @@ namespace {
 
 constexpr const char* kKind = "metacore-evaluation-store";
 constexpr const char* kWhat = "store";
-constexpr int kLegacyStoreVersion = 1;
 constexpr std::size_t kMaxSkipReasons = 100;
 constexpr std::size_t kMaxShards = 256;
 
@@ -83,7 +81,6 @@ struct FileLoad {
   std::map<Key, search::Evaluation> entries;
   StoreStats stats;          // journal_records / duplicates / skips / tail
   bool fresh_start = false;  ///< the file starts empty (absent or header-torn)
-  bool legacy = false;       ///< v1 JSONL; must be rewritten framed
 };
 
 void merge_record(FileLoad& load, std::string fingerprint,
@@ -142,75 +139,6 @@ void load_framed(FileLoad& load, const std::string& path,
   }
 }
 
-void load_legacy(FileLoad& load, const std::string& path,
-                 const std::string& text) {
-  // Pre-journal (version 1) stores: header line + one JSON record per
-  // line, no checksums. Without CRCs we cannot tell damage from a writer
-  // bug, so the legacy policy stays strict: a newline-terminated line that
-  // fails to parse rejects the file. A clean legacy load is migrated to
-  // the framed format.
-  std::vector<std::pair<std::size_t, std::string>> lines;  // (offset, text)
-  std::size_t start = 0;
-  while (start < text.size()) {
-    const std::size_t nl = text.find('\n', start);
-    if (nl == std::string::npos) break;
-    lines.emplace_back(start, text.substr(start, nl - start));
-    start = nl + 1;
-  }
-  const std::size_t tail_bytes = text.size() - start;
-
-  robust::JsonValue header;
-  try {
-    header = robust::parse_json(lines[0].second, kWhat);
-  } catch (const std::runtime_error& e) {
-    throw std::runtime_error("store: " + path +
-                             " has an unreadable header line: " + e.what());
-  }
-  if (header.type != robust::JsonValue::Type::Object ||
-      robust::require(header, "magic", robust::JsonValue::Type::String, kWhat)
-              .string != kKind) {
-    throw std::runtime_error("store: " + path +
-                             " is not a metacore evaluation store");
-  }
-  const auto version = static_cast<int>(std::llround(
-      robust::require(header, "version", robust::JsonValue::Type::Number,
-                      kWhat)
-          .number));
-  if (version != kLegacyStoreVersion) {
-    throw std::runtime_error(
-        "store: " + path + " has unsupported version " +
-        std::to_string(version) + " (this build reads versions " +
-        std::to_string(kLegacyStoreVersion) + " and " +
-        std::to_string(kStoreVersion) + ")");
-  }
-
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    robust::JsonValue entry;
-    try {
-      entry = robust::parse_json(lines[i].second, kWhat);
-    } catch (const std::runtime_error& e) {
-      throw std::runtime_error(
-          "store: " + path + " is corrupt at line " + std::to_string(i + 1) +
-          " (a newline-terminated record failed to parse — not a truncated "
-          "tail, refusing to guess): " +
-          e.what());
-    }
-    std::string fingerprint =
-        robust::require(entry, "fingerprint", robust::JsonValue::Type::String,
-                        kWhat)
-            .string;
-    robust::CheckpointRecord rec = robust::parse_eval_record(
-        robust::require(entry, "record", robust::JsonValue::Type::Object,
-                        kWhat),
-        kWhat);
-    merge_record(load, std::move(fingerprint), std::move(rec));
-  }
-  if (tail_bytes > 0) {
-    load.stats.recovered_bytes = tail_bytes;
-  }
-  load.legacy = true;
-}
-
 /// Replays one journal at `path` (absent file => fresh). Throws
 /// std::runtime_error on header-level problems only.
 FileLoad load_journal_file(const std::string& path) {
@@ -237,11 +165,14 @@ FileLoad load_journal_file(const std::string& path) {
     return load;
   }
 
-  if (robust::looks_like_journal(text)) {
-    load_framed(load, path, text);
-  } else {
-    load_legacy(load, path, text);
+  if (!robust::looks_like_journal(text)) {
+    // Also what a pre-journal (version 1) JSONL store reads as: that format
+    // has no deployed data and is not migrated.
+    throw std::runtime_error("store: " + path +
+                             " is not a metacore evaluation store (no "
+                             "journal header)");
   }
+  load_framed(load, path, text);
   return load;
 }
 
@@ -457,7 +388,7 @@ void EvaluationStore::load_shard_in_place(Shard& shard) {
   shard.stats.live_entries = shard.entries.size();
   shard.fresh_start = load.fresh_start;
 
-  // Recovery rewrites (damage, crash tails, legacy migration) are
+  // Recovery rewrites (damage, crash tails) are
   // unconditional — they restore the on-disk invariants. Pure duplicate
   // bloat compacts only past the configured dead-record ratio, so a
   // long-lived server's journal stays bounded without rewriting on every
@@ -465,8 +396,7 @@ void EvaluationStore::load_shard_in_place(Shard& shard) {
   const std::size_t dead =
       shard.stats.duplicate_records + shard.stats.skipped_records;
   const std::size_t total = dead + shard.entries.size();
-  if (shard.stats.skipped_records > 0 || shard.stats.recovered_bytes > 0 ||
-      load.legacy) {
+  if (shard.stats.skipped_records > 0 || shard.stats.recovered_bytes > 0) {
     shard.needs_rewrite = true;
   } else if (dead > 0 && config_.auto_compact_dead_ratio > 0.0 && total > 0 &&
              static_cast<double>(dead) >=

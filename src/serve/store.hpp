@@ -34,15 +34,15 @@
 //  * Every frame carries its own CRC32C: mid-file damage (bit rot, torn
 //    sectors) is skipped per record with a counted, descriptive reason in
 //    stats() instead of poisoning the whole journal. Header-level problems
-//    (foreign file, unsupported version) reject a single-file store; in a
+//    (foreign file — including a pre-journal v1 JSONL store — or
+//    unsupported version) reject a single-file store; in a
 //    sharded store the bad shard is renamed to <shard>.rejected, counted
 //    in quarantined_shards, and restarted empty while the rest serve.
 //  * Snapshot + compaction: compact() rewrites each shard's live set as a
 //    checksummed snapshot via tmp file + fsync + atomic rename; it runs
 //    automatically at open when a shard's dead-record ratio (duplicates +
 //    damage) crosses StoreConfig::auto_compact_dead_ratio, so a long-lived
-//    server's journals stay bounded. Legacy (v1 JSONL) stores are migrated
-//    to the framed format on first open.
+//    server's journals stay bounded.
 //  * Degraded read-only mode: when an append fails terminally (disk gone
 //    bad mid-run, after bounded retries), the affected shard keeps serving
 //    lookups and absorbing records in memory but stops journaling; stats()
@@ -141,7 +141,7 @@ struct StoreConfig {
   /// Auto-compaction trigger at open: rewrite a shard when
   /// dead / (dead + live) >= ratio, dead = duplicate + skipped records.
   /// <= 0 disables ratio-triggered compaction (recovery rewrites for
-  /// damage/tails and legacy migration still happen). Override with
+  /// damage/tails still happen). Override with
   /// METACORE_STORE_COMPACT_RATIO.
   double auto_compact_dead_ratio = 0.25;
   /// Shard count (1 = historical single-file layout). Override with
@@ -158,7 +158,7 @@ class EvaluationStore final : public search::EvaluationStoreBase {
  public:
   /// Opens (creating if absent) the store at `path`, replaying every
   /// journal of the on-disk layout into memory with tail recovery,
-  /// per-record damage skipping, legacy migration, layout migration, and
+  /// per-record damage skipping, layout migration, and
   /// ratio-triggered compaction as described above. Throws
   /// std::runtime_error on I/O failure, a foreign single-file store, or a
   /// version mismatch.

@@ -1,6 +1,6 @@
 // CRC32C (Castagnoli, polynomial 0x1EDC6F41, reflected 0x82F63B78): the
-// checksum guarding every persistence-layer record frame (robust/journal)
-// and every MCB1 binary wire frame (net/frame). Chosen over CRC32 (IEEE)
+// checksum guarding every persistence-layer record frame (robust/journal
+// and robust/checkpoint). Chosen over CRC32 (IEEE)
 // for its better error-detection properties on short records and because
 // hardware assists exist everywhere: on x86-64 the SSE4.2 `crc32`
 // instruction computes exactly this polynomial, so the dispatcher below

@@ -295,6 +295,30 @@ TEST(Checkpoint, RejectsVersionMismatch) {
   std::remove(path.c_str());
 }
 
+TEST(Checkpoint, RejectsPreJournalBareJsonAndLeavesItUntouched) {
+  // Before journal framing a checkpoint was one bare JSON document: the
+  // payload of today's single frame. That format is no longer read.
+  const std::string path = temp_checkpoint_path("bare.json");
+  robust::save_checkpoint(path, small_checkpoint());
+  const std::string framed = read_file(path);
+  // Frame: '#' <8 hex> '|' <8 hex> '|' payload '\n' after the header line.
+  const auto frame = framed.find("\n#");
+  ASSERT_NE(frame, std::string::npos);
+  const std::string bare =
+      framed.substr(frame + 20, framed.size() - (frame + 20) - 1);
+  ASSERT_EQ(bare.front(), '{');
+  write_file(path, bare);
+  try {
+    robust::load_checkpoint(path);
+    FAIL() << "a bare-JSON checkpoint must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(read_file(path), bare);
+  std::remove(path.c_str());
+}
+
 TEST(Checkpoint, RejectsTruncatedFileWithDescriptiveError) {
   // A checkpoint is one atomic JSON document: a truncated file cannot have
   // been produced by save_checkpoint (tmp + rename), so load must refuse

@@ -1,8 +1,8 @@
 // Tests for the persistent content-addressed evaluation store: framed
 // journal round-trip fidelity, load-time and manual compaction, crash-tail
 // recovery, the corruption policy (per-record CRC skip with counted
-// reasons; header-level problems reject), legacy v1 migration, divergent
-// duplicate detection, concurrent reader/writer discipline, and the
+// reasons; header-level problems reject, a v1 JSONL store included),
+// divergent duplicate detection, concurrent reader/writer discipline, and the
 // cold-search/warm-search equivalence the design-query service builds on.
 #include <gtest/gtest.h>
 
@@ -392,50 +392,24 @@ TEST(EvaluationStore, RejectsForeignFileDescriptively) {
   std::remove(path.c_str());
 }
 
-TEST(EvaluationStore, MigratesLegacyV1StoreOnOpen) {
+TEST(EvaluationStore, RejectsPreJournalV1StoreAndLeavesItUntouched) {
   const std::string path = temp_store_path("legacy.jsonl");
-  // A pre-journal (version 1) store: JSONL, no frames, no checksums.
-  write_file(path,
-             "{\"magic\":\"metacore-evaluation-store\",\"version\":1}\n"
-             "{\"fingerprint\":\"fp\",\"record\":{\"indices\":[3,1],"
-             "\"fidelity\":1,\"feasible\":true,\"confidence_weight\":42,"
-             "\"failure_reason\":\"\",\"metrics\":{\"cost\":1.25}}}\n");
-  // Pin the single-file layout: this test asserts the migrated bytes of
-  // `path` itself, so an ambient METACORE_STORE_SHARDS must not reshard.
-  StoreConfig single = StoreConfig::from_env();
-  single.shards = 1;
-  {
-    EvaluationStore store(path, single);
-    EXPECT_EQ(store.size(), 1u);
-    const auto hit = store.lookup("fp", {3, 1}, 1);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->metric("cost"), 1.25);
-  }
-  // The open migrated the file to the framed format.
-  const std::string text = read_file(path);
-  EXPECT_NE(text.find("metacore-journal"), std::string::npos);
-  EXPECT_NE(text.find("\n#"), std::string::npos);
-  EvaluationStore reopened(path, single);
-  EXPECT_EQ(reopened.size(), 1u);
-  ASSERT_TRUE(reopened.lookup("fp", {3, 1}, 1).has_value());
-  std::remove(path.c_str());
-}
-
-TEST(EvaluationStore, LegacyStoreStaysStrictAboutTerminatedGarbage) {
-  const std::string path = temp_store_path("legacy_garbage.jsonl");
-  // Without CRCs, damage and writer bugs are indistinguishable: the
-  // legacy policy (reject loudly) is preserved for legacy files.
-  write_file(path,
-             "{\"magic\":\"metacore-evaluation-store\",\"version\":1}\n"
-             "this is not json\n");
+  // A pre-journal (version 1) store: JSONL, no frames, no checksums. That
+  // format has no deployed data and is no longer read or migrated.
+  const std::string v1 =
+      "{\"magic\":\"metacore-evaluation-store\",\"version\":1}\n"
+      "{\"fingerprint\":\"fp\",\"record\":{\"indices\":[3,1],"
+      "\"fidelity\":1,\"feasible\":true,\"confidence_weight\":42,"
+      "\"failure_reason\":\"\",\"metrics\":{\"cost\":1.25}}}\n";
+  write_file(path, v1);
   try {
     EvaluationStore store(path);
-    FAIL() << "terminated garbage in a legacy store must be rejected";
+    FAIL() << "a v1 store must be rejected";
   } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("corrupt at line 2"), std::string::npos) << what;
-    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
   }
+  EXPECT_EQ(read_file(path), v1);
   std::remove(path.c_str());
 }
 
