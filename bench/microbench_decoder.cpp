@@ -5,15 +5,18 @@
 // Each decoder kind is measured through both streaming APIs: the per-step
 // virtual step() loop and the batched decode_block() kernel (flat trellis
 // view, table-lookup metrics, renorm tracked in-loop). After the
-// google-benchmark pass, a manual timing pass appends machine-readable
-// block-vs-step records (bits/s per decoder kind x K, plus the speedup) to
-// BENCH_decoder.json (override the path with METACORE_BENCH_DECODER_JSON;
-// METACORE_QUICK=1 shrinks the bit budget for smoke runs).
+// google-benchmark pass, manual timing passes append machine-readable
+// records (block vs step, SIMD tier vs scalar, frame-parallel lanes vs
+// sequential) to BENCH_decoder.json (override the path with
+// METACORE_BENCH_DECODER_JSON; METACORE_QUICK=1 shrinks the bit budget for
+// smoke runs). A run given --benchmark_filter skips those passes.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <iostream>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -279,12 +282,35 @@ void append_simd_vs_scalar_records() {
             << "\n";
 }
 
-/// Frame-parallel API: `lanes` copies of the workload decode in lock-step
-/// through one FrameDecoder; throughput counts every lane's bits.
-double time_frames(const comm::DecoderSpec& spec, const Workload& workload,
-                   std::size_t total_bits, std::size_t lanes) {
-  auto decoder =
-      spec.make_frame_decoder(workload.trellis, 1.0, workload.sigma, lanes);
+/// The lock-step frame kernel itself, built directly: make_frame_decoder
+/// serves one lane with the single-stream decoder instead, and the one-lane
+/// rows keep timing the kernel it replaces there.
+std::unique_ptr<comm::FrameDecoder> make_frame_kernel(
+    const comm::DecoderSpec& spec, const Workload& workload,
+    std::size_t lanes) {
+  if (spec.kind == comm::DecoderKind::Multires) {
+    const comm::MultiresConfig config{
+        spec.traceback_depth,    spec.low_res_bits,
+        spec.high_res_bits,      spec.quantization,
+        spec.num_high_res_paths, spec.normalization_terms};
+    return std::make_unique<comm::FrameMultiresDecoder>(
+        workload.trellis, config, 1.0, workload.sigma, lanes);
+  }
+  const comm::Quantizer quantizer =
+      spec.kind == comm::DecoderKind::Hard
+          ? comm::Quantizer(comm::QuantizationMethod::Hard, 1, 1.0,
+                            workload.sigma)
+          : comm::Quantizer(spec.quantization, spec.high_res_bits, 1.0,
+                            workload.sigma);
+  return std::make_unique<comm::FrameViterbiDecoder>(
+      workload.trellis, spec.traceback_depth, quantizer, lanes);
+}
+
+/// Frame-parallel API: `decoder->lanes()` copies of the workload decode in
+/// lock-step through one FrameDecoder; throughput counts every lane's bits.
+double time_frames(comm::FrameDecoder& decoder, const Workload& workload,
+                   std::size_t total_bits) {
+  const std::size_t lanes = decoder.lanes();
   std::vector<int> out(lanes * kBenchBits);
   std::vector<const double*> rx_ptrs(lanes, workload.rx.data());
   std::vector<int*> out_ptrs(lanes);
@@ -294,9 +320,9 @@ double time_frames(const comm::DecoderSpec& spec, const Workload& workload,
   std::size_t decoded = 0;
   const auto start = std::chrono::steady_clock::now();
   while (decoded < total_bits) {
-    decoder->reset();
+    decoder.reset();
     benchmark::DoNotOptimize(
-        decoder->decode_chunk(rx_ptrs.data(), kBenchBits, out_ptrs.data()));
+        decoder.decode_chunk(rx_ptrs.data(), kBenchBits, out_ptrs.data()));
     decoded += lanes * kBenchBits;
   }
   const double seconds = std::chrono::duration<double>(
@@ -352,7 +378,10 @@ void register_frame_benchmarks() {
 /// lock-step lane decoding vs decoding the same frames sequentially through
 /// the single-frame block API, per (kind, K, kernel tier, lane count). Both
 /// sides are timed in the same session on the same workload, so the speedup
-/// column is a direct apples-to-apples ratio.
+/// column is a direct apples-to-apples ratio. The one-lane row also times
+/// what make_frame_decoder builds at one lane (the single-stream decoder
+/// behind the FrameDecoder adapter), which should match the sequential
+/// rate.
 void append_frame_parallel_records() {
   const std::size_t total_bits = bench::quick_mode() ? 16'384 : 262'144;
   const auto isas = available_isas();
@@ -371,10 +400,11 @@ void append_frame_parallel_records() {
         comm::simd::force_isa(isa);
         const double sequential_bps = time_api(spec, workload, total_bits, true);
         const std::size_t natural = comm::simd::natural_frame_lanes(isa);
-        std::vector<std::size_t> lane_counts{natural};
-        if (natural != 4) lane_counts.insert(lane_counts.begin(), 4);
+        std::vector<std::size_t> lane_counts{1, 2, 4};
+        if (natural != 4) lane_counts.push_back(natural);
         for (const std::size_t lanes : lane_counts) {
-          const double frame_bps = time_frames(spec, workload, total_bits, lanes);
+          const double frame_bps = time_frames(
+              *make_frame_kernel(spec, workload, lanes), workload, total_bits);
 
           bench::BenchRecord record;
           record.name = "decoder_frame_parallel";
@@ -387,14 +417,26 @@ void append_frame_parallel_records() {
           record.values["frame_parallel_bits_per_second"] = frame_bps;
           record.values["frames_vs_sequential_speedup"] =
               frame_bps / sequential_bps;
-          records.push_back(std::move(record));
-
           std::cout << "  " << comm::to_string(kind) << " K=" << k << " "
                     << comm::simd::to_string(isa) << " lanes=" << lanes
                     << ": seq " << static_cast<std::uint64_t>(sequential_bps)
                     << " b/s, frames "
                     << static_cast<std::uint64_t>(frame_bps) << " b/s, "
-                    << frame_bps / sequential_bps << "x\n";
+                    << frame_bps / sequential_bps << "x";
+          if (lanes == 1) {
+            const double made_bps = time_frames(
+                *spec.make_frame_decoder(workload.trellis, 1.0,
+                                         workload.sigma, 1),
+                workload, total_bits);
+            record.values["make_frame_decoder_bits_per_second"] = made_bps;
+            record.values["make_frame_decoder_vs_sequential"] =
+                made_bps / sequential_bps;
+            std::cout << ", make_frame_decoder "
+                      << static_cast<std::uint64_t>(made_bps) << " b/s, "
+                      << made_bps / sequential_bps << "x";
+          }
+          std::cout << "\n";
+          records.push_back(std::move(record));
         }
       }
     }
@@ -407,12 +449,20 @@ void append_frame_parallel_records() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // A run that picks benchmarks with --benchmark_filter wants those alone,
+  // not the record passes (about a minute at the full bit budget).
+  bool filtered = false;
+  for (int i = 1; i < argc; ++i) {
+    filtered = filtered ||
+               std::string_view(argv[i]).starts_with("--benchmark_filter");
+  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   register_simd_benchmarks();
   register_frame_benchmarks();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
+  if (filtered) return 0;
   append_block_vs_step_records();
   append_simd_vs_scalar_records();
   append_frame_parallel_records();

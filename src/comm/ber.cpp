@@ -43,25 +43,71 @@ std::unique_ptr<Decoder> DecoderSpec::make_decoder(const Trellis& trellis,
   throw std::logic_error("DecoderSpec::make_decoder: unknown kind");
 }
 
+namespace {
+
+/// The single-stream decoder as a one-lane FrameDecoder. At one lane the
+/// state-parallel kernels of ViterbiDecoder / MultiresViterbiDecoder
+/// outrun the lock-step frame kernels, whose vector width is the lane axis
+/// (EXPERIMENTS.md, one-lane table), and both decode the same bits.
+/// Decoder::flush() is not const, but both
+/// concrete flush() methods only read the survivor window, so the
+/// read-only FrameDecoder::flush contract holds.
+template <typename SingleStream>
+class SingleStreamFrameDecoder final : public FrameDecoder {
+ public:
+  template <typename... Args>
+  explicit SingleStreamFrameDecoder(Args&&... args)
+      : decoder_(std::forward<Args>(args)...) {}
+
+  std::size_t lanes() const override { return 1; }
+  std::size_t decode_chunk(const double* const* rx, std::size_t steps,
+                           int* const* out) override {
+    const auto n = static_cast<std::size_t>(trellis().symbols_per_step());
+    return decoder_.decode_block({rx[0], steps * n}, {out[0], steps});
+  }
+  std::vector<int> flush(std::size_t) const override {
+    return decoder_.flush();
+  }
+  void reset() override { decoder_.reset(); }
+  std::int64_t normalizations(std::size_t) const override {
+    return decoder_.normalizations();
+  }
+  const Trellis& trellis() const override { return decoder_.trellis(); }
+
+ private:
+  mutable SingleStream decoder_;
+};
+
+}  // namespace
+
 std::unique_ptr<FrameDecoder> DecoderSpec::make_frame_decoder(
     const Trellis& trellis, double amplitude, double noise_sigma,
     std::size_t lanes) const {
   if (lanes == 0) lanes = default_frame_lanes();
   switch (kind) {
     case DecoderKind::Hard:
-      return std::make_unique<FrameViterbiDecoder>(
-          trellis, traceback_depth,
-          Quantizer(QuantizationMethod::Hard, 1, amplitude, noise_sigma),
-          lanes);
-    case DecoderKind::Soft:
-      return std::make_unique<FrameViterbiDecoder>(
-          trellis, traceback_depth,
-          Quantizer(quantization, high_res_bits, amplitude, noise_sigma),
-          lanes);
+    case DecoderKind::Soft: {
+      const Quantizer quantizer =
+          kind == DecoderKind::Hard
+              ? Quantizer(QuantizationMethod::Hard, 1, amplitude, noise_sigma)
+              : Quantizer(quantization, high_res_bits, amplitude,
+                          noise_sigma);
+      if (lanes == 1) {
+        return std::make_unique<SingleStreamFrameDecoder<ViterbiDecoder>>(
+            trellis, traceback_depth, quantizer);
+      }
+      return std::make_unique<FrameViterbiDecoder>(trellis, traceback_depth,
+                                                   quantizer, lanes);
+    }
     case DecoderKind::Multires: {
       MultiresConfig config{traceback_depth, low_res_bits, high_res_bits,
                             quantization, num_high_res_paths,
                             normalization_terms};
+      if (lanes == 1) {
+        return std::make_unique<
+            SingleStreamFrameDecoder<MultiresViterbiDecoder>>(
+            trellis, config, amplitude, noise_sigma);
+      }
       return std::make_unique<FrameMultiresDecoder>(trellis, config, amplitude,
                                                     noise_sigma, lanes);
     }
@@ -90,7 +136,7 @@ std::string DecoderSpec::label() const {
 
 namespace {
 
-/// Counted decoded bits across every run_ber_stream in the process (the
+/// Counted decoded bits across every BER stream in the process (the
 /// benchmark harnesses read it to turn search wall time into a decode
 /// throughput figure). Relaxed: it is a statistics counter, never a
 /// synchronization point — no code may use it to establish happens-before.
@@ -101,109 +147,20 @@ namespace {
 /// shards. See ber_decoded_bits_total() in ber.hpp.
 std::atomic<std::uint64_t> g_decoded_bits{0};
 
-/// Trellis steps per decode_block call. Large enough to amortize the
+/// Trellis steps per decode_chunk call. Large enough to amortize the
 /// per-chunk virtual dispatch and buffer bookkeeping, small enough that a
 /// run overshooting its stopping point wastes little work (generated bits
 /// past the stop are transmitted but never counted, so the estimate is
 /// unaffected — shard RNG streams are independent by construction).
 constexpr std::size_t kChunkBits = 1024;
 
-/// One continuous encode -> AWGN -> decode stream with its own RNG state,
-/// error counters, and early-stopping rules. This is the historical body of
-/// measure_ber, parameterized by seed and budgets so it can serve either as
-/// the whole measurement (shards = 1) or as one shard of a parallel one.
+/// One continuous encode -> AWGN -> decode stream: its own RNG state, delay
+/// line, error counters and early-stopping bookkeeping.
 ///
-/// The stream is driven in chunks through Decoder::decode_block with every
-/// buffer (tx delay line, rx samples, decoded bits) preallocated up front —
-/// the steady-state loop performs no allocation and exactly one virtual
-/// call per kChunkBits trellis steps. The per-bit stopping rules of the
-/// historical step() loop are replayed bit-for-bit while counting, so the
-/// returned estimate is bit-identical to the per-step driver's.
-util::ProportionEstimate run_ber_stream(const DecoderSpec& spec,
-                                        double esn0_db,
-                                        const BerRunConfig& config,
-                                        std::uint64_t stream_seed) {
-  const Trellis trellis(spec.code);
-  const auto n = static_cast<std::size_t>(trellis.symbols_per_step());
-  constexpr double kAmplitude = 1.0;
-
-  AwgnChannel channel(esn0_db, kAmplitude * kAmplitude, stream_seed);
-  util::Random data_rng(stream_seed ^ 0xDA7A'B175ULL);
-  BpskModulator modulator(kAmplitude);
-  auto decoder =
-      spec.make_decoder(trellis, kAmplitude, channel.noise_sigma());
-
-  util::ProportionEstimate errors;
-
-  // Continuous stream decoding: the decoder runs uninterrupted over the
-  // whole simulation, so there are no block-boundary traceback artifacts —
-  // each decoded bit emerges L steps after its symbols and is compared
-  // against the matching transmitted bit through a delay line. The last
-  // L-1 bits of the stream are simply not counted.
-  ConvolutionalEncoder encoder(spec.code);
-  std::vector<int> pending;  // transmitted bits awaiting their decode
-  pending.reserve(kChunkBits + 16'384);
-  std::size_t pending_head = 0;
-  std::vector<double> rx(kChunkBits * n);   // reused chunk of channel samples
-  std::vector<int> decoded(kChunkBits);     // reused decode_block output
-  std::uint64_t next_decision_check = std::max<std::uint64_t>(
-      config.min_bits, 8'192);
-  bool stopped = false;
-  while (!stopped && errors.trials < config.max_bits &&
-         (errors.trials < config.min_bits ||
-          errors.successes < config.max_errors)) {
-    // Encode/modulate/transmit one chunk into the reusable rx buffer. RNG
-    // draws stay in the exact per-bit order of the historical loop: one
-    // data bit, then n noise samples.
-    for (std::size_t i = 0; i < kChunkBits; ++i) {
-      const int bit = data_rng.bit() ? 1 : 0;
-      const std::uint32_t symbols = encoder.encode_bit(bit);
-      for (std::size_t j = 0; j < n; ++j) {
-        rx[i * n + j] = channel.transmit(
-            modulator.modulate(static_cast<int>((symbols >> j) & 1u)));
-      }
-      pending.push_back(bit);
-    }
-    const std::size_t got = decoder->decode_block(rx, decoded);
-
-    // Count decoded bits one at a time, replaying the per-bit stopping
-    // checks the historical loop ran before generating each next bit: the
-    // run stops at exactly the same (successes, trials) state it always
-    // did; any remaining decoded bits of the chunk are discarded.
-    for (std::size_t b = 0; b < got; ++b) {
-      if (!(errors.trials < config.max_bits &&
-            (errors.trials < config.min_bits ||
-             errors.successes < config.max_errors))) {
-        stopped = true;
-        break;
-      }
-      if (config.decision_ber > 0.0 && errors.trials >= next_decision_check) {
-        const auto interval = errors.wilson();
-        if (interval.high < config.decision_ber / 1.5 ||
-            interval.low > config.decision_ber * 1.5) {
-          stopped = true;  // confidently decided either way
-          break;
-        }
-        next_decision_check += 8'192;
-      }
-      errors.add(decoded[b] != pending[pending_head++]);
-    }
-    // Keep the delay line compact on long runs; capacity is retained, so
-    // the steady state stays allocation-free.
-    if (pending_head > 8'192) {
-      pending.erase(pending.begin(),
-                    pending.begin() + static_cast<std::ptrdiff_t>(pending_head));
-      pending_head = 0;
-    }
-  }
-  g_decoded_bits.fetch_add(errors.trials, std::memory_order_relaxed);
-  return errors;
-}
-
-/// Per-lane stream state for the lane-parallel variant of run_ber_stream:
-/// one independent encode -> AWGN pipeline plus error counters and
-/// early-stopping bookkeeping, all seeded exactly as run_ber_stream seeds
-/// a standalone stream.
+/// The decoder runs uninterrupted over the whole simulation, so there are
+/// no block-boundary traceback artifacts: each decoded bit emerges L steps
+/// after its symbols and is compared against the matching transmitted bit
+/// through the delay line. The last L-1 bits of the stream are not counted.
 struct LaneStream {
   AwgnChannel channel;
   util::Random data_rng;
@@ -222,18 +179,40 @@ struct LaneStream {
         next_decision_check(std::max<std::uint64_t>(min_bits, 8'192)) {
     pending.reserve(kChunkBits + 16'384);
   }
+
+  /// The stopping rule, asked before each chunk is generated and before
+  /// each decoded bit is counted: stop at max_bits, or once max_errors
+  /// errors are seen past min_bits, or (when decision_ber is set) once the
+  /// Wilson interval, tested every 8,192 bits, confidently separates from
+  /// the threshold either way. Latches `stopped`. Asking again at an
+  /// unchanged trial count returns the same answer, so the extra question
+  /// before a chunk never moves the stopping point.
+  bool wants_more(const BerRunConfig& config) {
+    if (stopped) return false;
+    stopped = errors.trials >= config.max_bits ||
+              (errors.trials >= config.min_bits &&
+               errors.successes >= config.max_errors);
+    if (!stopped && config.decision_ber > 0.0 &&
+        errors.trials >= next_decision_check) {
+      const auto interval = errors.wilson();
+      stopped = interval.high < config.decision_ber / 1.5 ||
+                interval.low > config.decision_ber * 1.5;
+      next_decision_check += 8'192;
+    }
+    return !stopped;
+  }
 };
 
-/// Lane-parallel run_ber_stream: decodes |seeds| independent shard streams
-/// through ONE frame-parallel decoder, one stream per SIMD lane, in
-/// lock-step kChunkBits chunks. Each lane's RNG draws, decoded bits, and
-/// per-bit stopping replay are exactly run_ber_stream's for that seed, so
-/// the returned estimates are bit-identical to |seeds| standalone runs —
-/// the lane axis is invisible in the results and the goldens hold at every
-/// lane count. A lane that hits its stopping rule stops generating (no
-/// further RNG draws, matching the standalone early exit); its lane keeps
-/// decoding a shared zero buffer, which costs nothing extra because the
-/// SIMD step is constant-width, and its counters are frozen.
+/// Decodes |seeds| independent streams through ONE FrameDecoder, one
+/// stream per lane, in lock-step kChunkBits chunks with every buffer
+/// preallocated (the steady-state loop performs no allocation and one
+/// virtual call per chunk). A stream's RNG draws, decoded bits and stopping
+/// point depend only on its seed and `config`, never on the lane count, so
+/// the estimates are bit-identical at every grouping and the goldens hold
+/// at every lane count. A lane that stops generates nothing more (no
+/// further RNG draws); it keeps decoding a shared zero buffer, which costs
+/// nothing extra because the SIMD step is constant-width, and its counters
+/// are frozen.
 std::vector<util::ProportionEstimate> run_ber_streams(
     const DecoderSpec& spec, double esn0_db, const BerRunConfig& config,
     const std::vector<std::uint64_t>& seeds) {
@@ -259,70 +238,48 @@ std::vector<util::ProportionEstimate> run_ber_streams(
   std::vector<int*> out_ptrs(lanes);
   std::vector<char> generated(lanes);
 
-  const auto wants_more = [&](const LaneStream& st) {
-    return !st.stopped && st.errors.trials < config.max_bits &&
-           (st.errors.trials < config.min_bits ||
-            st.errors.successes < config.max_errors);
-  };
-
   while (true) {
     bool any_active = false;
     for (std::size_t l = 0; l < lanes; ++l) {
       LaneStream& st = streams[l];
-      if (wants_more(st)) {
-        any_active = true;
-        generated[l] = 1;
-        // Exact per-bit RNG order of run_ber_stream: one data bit, then n
-        // noise samples.
-        double* lane_rx = rx.data() + l * kChunkBits * n;
-        for (std::size_t i = 0; i < kChunkBits; ++i) {
-          const int bit = st.data_rng.bit() ? 1 : 0;
-          const std::uint32_t symbols = st.encoder.encode_bit(bit);
-          for (std::size_t j = 0; j < n; ++j) {
-            lane_rx[i * n + j] = st.channel.transmit(
-                modulator.modulate(static_cast<int>((symbols >> j) & 1u)));
-          }
-          st.pending.push_back(bit);
-        }
-        rx_ptrs[l] = lane_rx;
-        out_ptrs[l] = decoded.data() + l * kChunkBits;
-      } else {
-        st.stopped = true;
-        generated[l] = 0;
+      generated[l] = st.wants_more(config) ? 1 : 0;
+      if (!generated[l]) {
         rx_ptrs[l] = zeros.data();
         out_ptrs[l] = dump.data();
+        continue;
       }
+      any_active = true;
+      // Per-bit RNG order: one data bit, then n noise samples.
+      double* lane_rx = rx.data() + l * kChunkBits * n;
+      for (std::size_t i = 0; i < kChunkBits; ++i) {
+        const int bit = st.data_rng.bit() ? 1 : 0;
+        const std::uint32_t symbols = st.encoder.encode_bit(bit);
+        for (std::size_t j = 0; j < n; ++j) {
+          lane_rx[i * n + j] = st.channel.transmit(
+              modulator.modulate(static_cast<int>((symbols >> j) & 1u)));
+        }
+        st.pending.push_back(bit);
+      }
+      rx_ptrs[l] = lane_rx;
+      out_ptrs[l] = decoded.data() + l * kChunkBits;
     }
     if (!any_active) break;
 
     const std::size_t got =
         decoder->decode_chunk(rx_ptrs.data(), kChunkBits, out_ptrs.data());
 
-    // Per-lane counting with the per-bit stopping replay of
-    // run_ber_stream, byte for byte.
+    // Count decoded bits one at a time, asking the stopping rule before
+    // each: a stream stops at exactly the (successes, trials) state a
+    // per-bit loop would reach; the rest of its chunk is discarded.
     for (std::size_t l = 0; l < lanes; ++l) {
       if (!generated[l]) continue;
       LaneStream& st = streams[l];
       const int* lane_decoded = decoded.data() + l * kChunkBits;
-      for (std::size_t b = 0; b < got; ++b) {
-        if (!(st.errors.trials < config.max_bits &&
-              (st.errors.trials < config.min_bits ||
-               st.errors.successes < config.max_errors))) {
-          st.stopped = true;
-          break;
-        }
-        if (config.decision_ber > 0.0 &&
-            st.errors.trials >= st.next_decision_check) {
-          const auto interval = st.errors.wilson();
-          if (interval.high < config.decision_ber / 1.5 ||
-              interval.low > config.decision_ber * 1.5) {
-            st.stopped = true;  // confidently decided either way
-            break;
-          }
-          st.next_decision_check += 8'192;
-        }
+      for (std::size_t b = 0; b < got && st.wants_more(config); ++b) {
         st.errors.add(lane_decoded[b] != st.pending[st.pending_head++]);
       }
+      // Keep the delay line compact on long runs; capacity is retained, so
+      // the steady state stays allocation-free.
       if (st.pending_head > 8'192) {
         st.pending.erase(
             st.pending.begin(),
@@ -480,22 +437,20 @@ BerPoint measure_ber(const DecoderSpec& spec, double esn0_db,
   BerPoint point;
   point.esn0_db = esn0_db;
 
-  if (config.shards == 1) {
-    point.errors = run_ber_stream(spec, esn0_db, config, point_seed);
-    return point;
-  }
-
   // Sharded Monte-Carlo: independent streams with 1/shards of each budget,
   // keyed by counter-based substreams of the point seed. Shard results
   // depend only on (config, shard index), never on scheduling or grouping,
   // and the reduction walks shards in index order — bit-identical at any
-  // thread count and any lane count.
+  // thread count and any lane count. One shard is the whole measurement:
+  // it runs on the point seed with the caller's budgets verbatim.
   const auto shards = static_cast<std::size_t>(config.shards);
   BerRunConfig shard_cfg = config;
-  shard_cfg.max_bits = shard_budget(config.max_bits, shards);
-  shard_cfg.min_bits = shard_budget(config.min_bits, shards);
-  shard_cfg.max_errors =
-      std::max<std::uint64_t>(1, shard_budget(config.max_errors, shards));
+  if (shards > 1) {
+    shard_cfg.max_bits = shard_budget(config.max_bits, shards);
+    shard_cfg.min_bits = shard_budget(config.min_bits, shards);
+    shard_cfg.max_errors =
+        std::max<std::uint64_t>(1, shard_budget(config.max_errors, shards));
+  }
 
   // Group shards into SIMD lanes of one frame-parallel decoder each
   // (frames x threads x lanes). The group size fills the thread pool
@@ -519,8 +474,9 @@ BerPoint measure_ber(const DecoderSpec& spec, double esn0_db,
     const std::size_t hi = std::min(shards, lo + group_size);
     std::vector<std::uint64_t> seeds(hi - lo);
     for (std::size_t i = 0; i < seeds.size(); ++i) {
+      const auto shard = static_cast<std::uint64_t>(lo + i);
       seeds[i] =
-          util::substream_key(point_seed, static_cast<std::uint64_t>(lo + i));
+          shards == 1 ? point_seed : util::substream_key(point_seed, shard);
     }
     const auto results = run_ber_streams(spec, esn0_db, shard_cfg, seeds);
     std::copy(results.begin(), results.end(),

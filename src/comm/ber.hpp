@@ -47,10 +47,12 @@ struct DecoderSpec {
                                         double amplitude,
                                         double noise_sigma) const;
 
-  /// Builds the frame-parallel counterpart: a lock-step decoder over
-  /// `lanes` independent frames, each lane bit-identical to the decoder
-  /// make_decoder would build (see comm/frame_decode.hpp). `lanes == 0`
-  /// resolves via default_frame_lanes().
+  /// Builds the decoder for `lanes` independent frames, each lane
+  /// bit-identical to the decoder make_decoder would build (see
+  /// comm/frame_decode.hpp): the lock-step frame-parallel kernel for two or
+  /// more lanes, and at one lane the make_decoder decoder itself behind a
+  /// FrameDecoder adapter, because its state-parallel kernel is faster
+  /// there. `lanes == 0` resolves via default_frame_lanes().
   std::unique_ptr<FrameDecoder> make_frame_decoder(const Trellis& trellis,
                                                    double amplitude,
                                                    double noise_sigma,
@@ -59,9 +61,9 @@ struct DecoderSpec {
   std::string label() const;
 };
 
-/// Batch decode of independent frames through the frame-parallel SIMD
-/// path. `frames[i]` holds raw channel samples (a multiple of
-/// symbols_per_step); the result is exactly
+/// Batch decode of independent frames through make_frame_decoder.
+/// `frames[i]` holds raw channel samples (a multiple of symbols_per_step);
+/// the result is exactly
 /// `spec.make_decoder(trellis, amplitude, noise_sigma)->decode(frames[i])`
 /// for every frame — block bits plus the flush tail, in input order —
 /// regardless of `lanes` (0 = default_frame_lanes()). Ragged lengths are
@@ -89,18 +91,19 @@ struct BerRunConfig {
   /// shard gets its own counter-based RNG stream (util::substream_key) and
   /// a 1/shards slice of the bit/error budgets; shards fan out across the
   /// exec thread pool and reduce in shard order, so the measurement is
-  /// bit-identical for a given shard count regardless of thread count (and
-  /// `shards = 1` reproduces the historical single-stream measurement
-  /// exactly). Early-stopping rules apply per shard.
+  /// bit-identical for a given shard count regardless of thread count.
+  /// `shards = 1` runs one stream on the point seed with the budgets as
+  /// given (the historical single-stream measurement). Early-stopping
+  /// rules apply per shard.
   int shards = 1;
-  /// Upper bound on how many shards share one frame-parallel decoder (the
-  /// SIMD lane axis; see comm/frame_decode.hpp). 0 = auto
-  /// (default_frame_lanes(), i.e. the dispatched ISA's vector width or the
-  /// METACORE_LANES override); 1 forces the degenerate one-stream-per-
-  /// decoder path. Shards are grouped to fill the thread pool first and
-  /// the lanes second (frames x threads x lanes), and because every lane
-  /// is bit-identical to a standalone decoder, this knob NEVER changes the
-  /// measurement — only its throughput.
+  /// Upper bound on how many shards share one FrameDecoder (the SIMD lane
+  /// axis; see comm/frame_decode.hpp). 0 = auto (default_frame_lanes(),
+  /// i.e. the dispatched ISA's vector width or the METACORE_LANES
+  /// override). Shards are grouped to fill the thread pool first and the
+  /// lanes second (frames x threads x lanes); a group of one shard, which
+  /// `lanes = 1` forces, runs on the single-stream decoder. Because every
+  /// lane is bit-identical to a standalone decoder, this knob NEVER changes
+  /// the measurement — only its throughput.
   int lanes = 0;
 };
 

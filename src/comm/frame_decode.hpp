@@ -6,7 +6,14 @@
 // second multiplicative throughput axis on the decode hot path: the
 // state-parallel kernels saturate only at large constraint lengths, while
 // the lane axis is full-width at any K because the lanes are independent
-// streams, the batching idiom production basestation decoders use.
+// streams, the batching idiom production basestation decoders use. The
+// lane axis pays off only from two lanes up: at one lane the lock-step
+// kernel is slower than the single-stream decoder's state-parallel kernel
+// at every kind, K and tier, so DecoderSpec::make_frame_decoder (comm/ber.hpp)
+// serves one lane with the single-stream decoder behind a FrameDecoder
+// adapter and builds the classes below for two or more lanes. They still
+// accept one lane when constructed directly, as the equivalence tests and
+// the decoder microbenchmark do.
 //
 // Every lane is bit-identical to a standalone single-frame decoder fed the
 // same samples: the kernels replicate the scalar compare-select semantics
@@ -33,10 +40,10 @@ namespace metacore::comm {
 
 /// Default lane count for frame-parallel decoding: the METACORE_LANES
 /// environment override when set (an integer in [1, 256]; invalid values
-/// throw std::invalid_argument — METACORE_LANES=1 is the degenerate
-/// single-lane path CI exercises), otherwise the dispatched ISA tier's
-/// natural vector width in int32 path metrics (4 / 4 / 8 / 16 for
-/// scalar / SSE4.2 / AVX2 / AVX-512).
+/// throw std::invalid_argument — METACORE_LANES=1, which CI exercises,
+/// puts every stream on the single-stream decoder), otherwise the
+/// dispatched ISA tier's natural vector width in int32 path metrics
+/// (4 / 4 / 8 / 16 for scalar / SSE4.2 / AVX2 / AVX-512).
 std::size_t default_frame_lanes();
 
 /// Abstract lock-step decoder over `lanes()` independent frames. All lanes

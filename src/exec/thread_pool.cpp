@@ -7,6 +7,8 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 namespace metacore::exec {
@@ -16,11 +18,8 @@ namespace {
 thread_local bool tls_on_worker = false;
 
 std::size_t env_threads() {
-  if (const char* env = std::getenv("METACORE_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v >= 1) return static_cast<std::size_t>(v);
-  }
+  const char* env = std::getenv("METACORE_THREADS");
+  if (env != nullptr && *env != '\0') return ThreadPool::parse_threads(env);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw ? hw : 1;
 }
@@ -179,6 +178,18 @@ void ThreadPool::set_global_threads(std::size_t threads) {
 }
 
 std::size_t ThreadPool::configured_threads() { return env_threads(); }
+
+std::size_t ThreadPool::parse_threads(const std::string& value) {
+  char* end = nullptr;
+  const long long v = std::strtoll(value.c_str(), &end, 10);
+  if (end == value.c_str() || *end != '\0' || v < 1 ||
+      v > static_cast<long long>(kMaxThreads)) {
+    throw std::invalid_argument("METACORE_THREADS must be an integer in [1, " +
+                                std::to_string(kMaxThreads) + "], got '" +
+                                value + "'");
+  }
+  return static_cast<std::size_t>(v);
+}
 
 bool ThreadPool::on_worker_thread() noexcept { return tls_on_worker; }
 

@@ -18,7 +18,8 @@
 //    builds on this).
 //
 // The global pool is sized from the METACORE_THREADS environment variable
-// (falling back to std::thread::hardware_concurrency). METACORE_THREADS=1
+// (an integer in [1, 256]; unset means std::thread::hardware_concurrency,
+// and an invalid value throws std::invalid_argument). METACORE_THREADS=1
 // disables worker threads entirely: every batch runs serially on the
 // caller, byte-for-byte identical to the pre-parallel code path.
 #pragma once
@@ -27,6 +28,7 @@
 #include <exception>
 #include <functional>
 #include <optional>
+#include <string>
 #include <vector>
 
 namespace metacore::exec {
@@ -59,8 +61,18 @@ class ThreadPool {
   /// counts). Not safe to call while another thread is inside a batch.
   static void set_global_threads(std::size_t threads);
 
-  /// Thread count METACORE_THREADS / hardware_concurrency resolves to.
+  /// Largest thread count METACORE_THREADS accepts.
+  static constexpr std::size_t kMaxThreads = 256;
+
+  /// Thread count METACORE_THREADS / hardware_concurrency resolves to. An
+  /// unset or empty METACORE_THREADS means hardware_concurrency; any other
+  /// value goes through parse_threads.
   static std::size_t configured_threads();
+
+  /// Parses a METACORE_THREADS value: an integer in [1, kMaxThreads].
+  /// Anything else (`0`, `-2`, `abc`, `4x`, `257`) throws
+  /// std::invalid_argument naming the value.
+  static std::size_t parse_threads(const std::string& value);
 
   /// True on a thread currently executing pool work (nested-call guard).
   static bool on_worker_thread() noexcept;

@@ -323,15 +323,16 @@ DesignResponse DesignService::submit(const DesignQuery& query) {
   return response;
 }
 
-std::vector<DesignResponse> DesignService::submit_batch(
-    const std::vector<DesignQuery>& queries) {
-  std::vector<DesignResponse> responses(queries.size());
-  if (queries.empty()) return responses;
+template <typename Answer, typename Fn>
+std::vector<Answer> DesignService::run_batch(
+    const std::vector<DesignQuery>& queries, const Fn& answer) {
+  std::vector<Answer> out(queries.size());
+  if (queries.empty()) return out;
 
   // Deduplicate identical queries up front: each unique query runs exactly
   // once regardless of thread count (at METACORE_THREADS=1 the fan-out is
   // sequential, so in-flight coalescing alone could never fire — pre-dedup
-  // is what keeps the response vector byte-identical at any thread count).
+  // is what keeps the output byte-identical at any thread count).
   std::map<std::string, std::size_t> first_of;
   std::vector<std::size_t> slot_of(queries.size());
   std::vector<std::size_t> unique;
@@ -366,17 +367,23 @@ std::vector<DesignResponse> DesignService::submit_batch(
     groups.push_back(&slots);
   }
 
-  std::vector<DesignResponse> unique_responses(unique.size());
+  std::vector<Answer> unique_out(unique.size());
   exec::parallel_for(groups.size(), [&](std::size_t g) {
     for (const std::size_t u : *groups[g]) {
-      unique_responses[u] = submit(queries[unique[u]]);
+      unique_out[u] = answer(queries[unique[u]]);
     }
   });
 
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    responses[i] = unique_responses[slot_of[i]];
+    out[i] = unique_out[slot_of[i]];
   }
-  return responses;
+  return out;
+}
+
+std::vector<DesignResponse> DesignService::submit_batch(
+    const std::vector<DesignQuery>& queries) {
+  return run_batch<DesignResponse>(
+      queries, [this](const DesignQuery& query) { return submit(query); });
 }
 
 std::shared_ptr<const std::string> DesignService::submit_encoded(
@@ -449,53 +456,9 @@ std::shared_ptr<const std::string> DesignService::submit_encoded(
 
 std::vector<std::shared_ptr<const std::string>>
 DesignService::submit_batch_encoded(const std::vector<DesignQuery>& queries) {
-  std::vector<std::shared_ptr<const std::string>> out(queries.size());
-  if (queries.empty()) return out;
-
-  // Deduplicate identical queries up front — same rationale as
-  // submit_batch: byte-identical output at any thread count.
-  std::map<std::string, std::size_t> first_of;
-  std::vector<std::size_t> slot_of(queries.size());
-  std::vector<std::size_t> unique;
-  std::size_t duplicates = 0;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    auto [it, inserted] = first_of.emplace(to_json(queries[i]), unique.size());
-    if (inserted) {
-      unique.push_back(i);
-    } else {
-      ++duplicates;
-    }
-    slot_of[i] = it->second;
-  }
-  if (duplicates > 0) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.queries += duplicates;
-    stats_.coalesced += duplicates;
-  }
-
-  // Same-fingerprint queries run sequentially in batch order (see
-  // submit_batch); distinct scopes fan out in parallel.
-  std::map<std::string, std::vector<std::size_t>> by_fingerprint;
-  for (std::size_t u = 0; u < unique.size(); ++u) {
-    by_fingerprint[query_fingerprint(queries[unique[u]])].push_back(u);
-  }
-  std::vector<const std::vector<std::size_t>*> groups;
-  groups.reserve(by_fingerprint.size());
-  for (const auto& [fingerprint, slots] : by_fingerprint) {
-    groups.push_back(&slots);
-  }
-
-  std::vector<std::shared_ptr<const std::string>> unique_out(unique.size());
-  exec::parallel_for(groups.size(), [&](std::size_t g) {
-    for (const std::size_t u : *groups[g]) {
-      unique_out[u] = submit_encoded(queries[unique[u]]);
-    }
-  });
-
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    out[i] = unique_out[slot_of[i]];
-  }
-  return out;
+  return run_batch<std::shared_ptr<const std::string>>(
+      queries,
+      [this](const DesignQuery& query) { return submit_encoded(query); });
 }
 
 std::size_t DesignService::response_cache_size() const {

@@ -226,6 +226,15 @@ class DesignService {
     std::shared_ptr<const std::string> bytes;
   };
 
+  /// The batch fan-out behind submit_batch and submit_batch_encoded:
+  /// deduplicates identical queries (duplicates count as coalesced), runs
+  /// same-fingerprint queries sequentially in batch order, fans the
+  /// fingerprint groups out across the exec thread pool, and scatters
+  /// `answer`'s results back to every input slot.
+  template <typename Answer, typename Fn>
+  std::vector<Answer> run_batch(const std::vector<DesignQuery>& queries,
+                                const Fn& answer);
+
   /// Executes the query for real (search or archive answer).
   DesignResponse run_query(const DesignQuery& query);
   DesignResponse answer_from_archive(const DesignQuery& query);

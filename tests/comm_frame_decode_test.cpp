@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iterator>
+#include <memory>
+#include <ostream>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -165,6 +167,13 @@ struct FrameCase {
   DecoderKind kind;
   int k;
 };
+
+// gtest's default printer dumps the struct's bytes, padding included, and
+// gtest_discover_tests names each ctest case after the printed parameter,
+// so without this the names would change from one discovery to the next.
+void PrintTo(const FrameCase& c, std::ostream* os) {
+  *os << to_string(c.kind) << " K=" << c.k;
+}
 
 class FrameSweep : public ::testing::TestWithParam<FrameCase> {};
 
@@ -347,6 +356,74 @@ TEST(FrameDecoder, FlushIsReadOnlyAtEveryBoundary) {
   };
 
   EXPECT_EQ(run(true), run(false));
+}
+
+// ---------------------------------------------------------------------------
+// One lane: make_frame_decoder serves it with the single-stream decoder
+// behind a FrameDecoder adapter, while the frame kernels still accept one
+// lane when built directly. Both must decode every frame exactly as the
+// standalone decoder does, with a read-only flush after every chunk.
+
+TEST(FrameDecoder, OneLaneAdapterAndOneLaneKernelMatchTheStandaloneDecoder) {
+  constexpr std::size_t kSteps = 2'000;
+  IsaGuard guard;
+  for (const DecoderKind kind :
+       {DecoderKind::Hard, DecoderKind::Soft, DecoderKind::Multires}) {
+    const DecoderSpec spec = make_spec(kind, 5);
+    const Trellis trellis(spec.code);
+    double sigma = 0.5;
+    const std::vector<double> frame =
+        noisy_frame(spec.code, kSteps, 1.0, 17, &sigma);
+    const std::vector<int> reference =
+        spec.make_decoder(trellis, 1.0, sigma)->decode(frame);
+
+    const auto decode = [&](FrameDecoder& decoder) {
+      std::vector<int> bits(kSteps);
+      std::size_t emitted = 0;
+      for (std::size_t begin = 0; begin < kSteps; begin += 300) {
+        const std::size_t steps = std::min<std::size_t>(300, kSteps - begin);
+        const double* rx = frame.data() + begin * 2;
+        int* out = bits.data() + emitted;
+        emitted += decoder.decode_chunk(&rx, steps, &out);
+        (void)decoder.flush(0);
+      }
+      bits.resize(emitted);
+      const auto tail = decoder.flush(0);
+      bits.insert(bits.end(), tail.begin(), tail.end());
+      return bits;
+    };
+
+    const auto adapter = spec.make_frame_decoder(trellis, 1.0, sigma, 1);
+    ASSERT_EQ(adapter->lanes(), 1u);
+    EXPECT_EQ(dynamic_cast<FrameViterbiDecoder*>(adapter.get()), nullptr);
+    EXPECT_EQ(dynamic_cast<FrameMultiresDecoder*>(adapter.get()), nullptr);
+    EXPECT_EQ(decode(*adapter), reference) << to_string(kind);
+    adapter->reset();
+    EXPECT_EQ(decode(*adapter), reference) << to_string(kind) << " reset";
+
+    for (const auto isa : available_isas()) {
+      simd::force_isa(isa);
+      std::unique_ptr<FrameDecoder> kernel;
+      if (kind == DecoderKind::Multires) {
+        const MultiresConfig config{
+            spec.traceback_depth,    spec.low_res_bits,
+            spec.high_res_bits,      spec.quantization,
+            spec.num_high_res_paths, spec.normalization_terms};
+        kernel = std::make_unique<FrameMultiresDecoder>(trellis, config, 1.0,
+                                                        sigma, 1);
+      } else {
+        const Quantizer quantizer =
+            kind == DecoderKind::Hard
+                ? Quantizer(QuantizationMethod::Hard, 1, 1.0, sigma)
+                : Quantizer(spec.quantization, spec.high_res_bits, 1.0, sigma);
+        kernel = std::make_unique<FrameViterbiDecoder>(
+            trellis, spec.traceback_depth, quantizer, 1);
+      }
+      EXPECT_EQ(decode(*kernel), reference)
+          << to_string(kind) << " " << simd::to_string(isa);
+      EXPECT_EQ(kernel->normalizations(0), adapter->normalizations(0));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <ostream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "comm/ber.hpp"
@@ -112,6 +114,13 @@ struct KernelCase {
   DecoderKind kind;
   int k;
 };
+
+// gtest's default printer dumps the struct's bytes, padding included, and
+// gtest_discover_tests names each ctest case after the printed parameter,
+// so without this the names would change from one discovery to the next.
+void PrintTo(const KernelCase& c, std::ostream* os) {
+  *os << to_string(c.kind) << " K=" << c.k;
+}
 
 class KernelSweep : public ::testing::TestWithParam<KernelCase> {};
 

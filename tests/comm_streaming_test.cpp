@@ -2,6 +2,9 @@
 // decoding matches batch decoding, pipeline delays, and flush semantics.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "comm/ber.hpp"
 #include "comm/channel.hpp"
 #include "comm/multires_viterbi.hpp"
@@ -15,6 +18,13 @@ struct StreamCase {
   DecoderKind kind;
   int k;
 };
+
+// gtest's default printer dumps the struct's bytes, padding included, and
+// gtest_discover_tests names each ctest case after the printed parameter,
+// so without this the names would change from one discovery to the next.
+void PrintTo(const StreamCase& c, std::ostream* os) {
+  *os << to_string(c.kind) << " K=" << c.k;
+}
 
 class StreamingSweep : public ::testing::TestWithParam<StreamCase> {};
 

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -127,6 +128,26 @@ TEST(ThreadPool, ParallelMapPreservesItemOrder) {
     EXPECT_EQ(squares[i], static_cast<int>(i * i));
   }
   exec::ThreadPool::set_global_threads(1);
+}
+
+TEST(ThreadPool, ThreadCountKnobAcceptsOnlyIntegersInRange) {
+  // Parses strings only: no pool is ever built at these values.
+  EXPECT_EQ(exec::ThreadPool::parse_threads("1"), 1u);
+  EXPECT_EQ(exec::ThreadPool::parse_threads("4"), 4u);
+  EXPECT_EQ(exec::ThreadPool::parse_threads("256"),
+            exec::ThreadPool::kMaxThreads);
+  for (const std::string bad :
+       {"", "0", "-2", "abc", "4x", "4.0", "1e3", "257", "100000",
+        "99999999999999999999999"}) {
+    try {
+      (void)exec::ThreadPool::parse_threads(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("METACORE_THREADS"), std::string::npos);
+      EXPECT_NE(message.find("'" + bad + "'"), std::string::npos) << message;
+    }
+  }
 }
 
 TEST(CounterRng, IsAPureFunctionOfKeyAndCounter) {

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -516,11 +517,14 @@ TEST(DesignClientRetry, RetriesOverloadedRejectionsUntilAdmitted) {
 
   // The retrying client is rejected at first (queue full behind the slow
   // search) and then admitted once the backlog drains — the caller sees
-  // one ok response, never a rejection.
+  // one ok response, never a rejection. Its retry budget is unbounded, so
+  // the test holds however long the slow search takes (seconds in an
+  // optimized build, several times that under TSan); the first attempt
+  // only needs the search to outlast one loopback round trip.
   DesignClient patient;
   patient.connect("127.0.0.1", server.port());
   RetryPolicy policy;
-  policy.max_retries = 400;
+  policy.max_retries = std::numeric_limits<std::size_t>::max();
   policy.base_ms = 5.0;
   policy.cap_ms = 50.0;
   policy.jitter_key = 7;
@@ -814,7 +818,10 @@ TEST(DesignServer, GracefulDrainFinishesInFlightAndFlushesTheStore) {
   client.connect("127.0.0.1", server.port());
   std::vector<std::string> ids;
   for (const double mbps : {1.0, 2.0, 3.0, 4.0}) {
-    const std::string id = "d" + std::to_string(static_cast<int>(mbps));
+    // Appended piecewise: `"d" + std::to_string(...)` trips a false
+    // -Wrestrict in GCC 12 Release builds.
+    std::string id = "d";
+    id += std::to_string(static_cast<int>(mbps));
     client.send_query(id, tiny_query(mbps));
     ids.push_back(id);
   }

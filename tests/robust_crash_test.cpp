@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -33,7 +34,22 @@ std::string temp_path(const char* name) {
   const std::string path = testing::TempDir() + "/" + name;
   std::remove(path.c_str());
   std::remove((path + ".tmp").c_str());
+  // Also clear a sharded layout (`path.d/`) that a run under
+  // METACORE_STORE_SHARDS may have left behind: it would replay into the
+  // next run's store.
+  std::error_code ec;
+  std::filesystem::remove_all(path + ".d", ec);
   return path;
+}
+
+/// Explicit single-file layout for the tests that assert the journal bytes
+/// of `path` itself, so an ambient METACORE_STORE_SHARDS (the CI sanitizer
+/// step sets it) does not move the records into a shard directory.
+/// Everything else from the environment still applies.
+serve::StoreConfig single_file() {
+  serve::StoreConfig config = serve::StoreConfig::from_env();
+  config.shards = 1;
+  return config;
 }
 
 std::string read_file(const std::string& path) {
@@ -76,7 +92,7 @@ std::string reference_journal(const std::string& dir_tag, int k) {
   const std::string path =
       temp_path(("crash_ref_" + dir_tag + "_" + std::to_string(k)).c_str());
   {
-    serve::EvaluationStore store(path);
+    serve::EvaluationStore store(path, single_file());
     for (int n = 1; n <= k; ++n) record_nth(store, n);
   }
   const std::string bytes = read_file(path);
@@ -203,7 +219,7 @@ TEST(CrashMatrix, StoreJournalSurvivesEveryByteBoundary) {
 
       bool crashed = false;
       {
-        serve::EvaluationStore store(path);
+        serve::EvaluationStore store(path, single_file());
         try {
           for (int i = 1; i <= kSessionRecords; ++i) record_nth(store, i);
         } catch (const CrashInjected&) {
@@ -216,7 +232,7 @@ TEST(CrashMatrix, StoreJournalSurvivesEveryByteBoundary) {
       // A full frame followed by the crash means record n survived.
       const int kept = b == frame_sizes[n - 1] ? n : n - 1;
       {
-        serve::EvaluationStore store(path);
+        serve::EvaluationStore store(path, single_file());
         ASSERT_EQ(store.size(), static_cast<std::size_t>(kept))
             << "record " << n << " byte " << b;
         for (int i = 1; i <= kept; ++i) {
@@ -231,7 +247,7 @@ TEST(CrashMatrix, StoreJournalSurvivesEveryByteBoundary) {
       // Finish the session; completion must converge byte-for-byte with
       // the uninterrupted run, and survivors must not be re-journaled.
       {
-        serve::EvaluationStore store(path);
+        serve::EvaluationStore store(path, single_file());
         for (int i = 1; i <= kSessionRecords; ++i) record_nth(store, i);
         EXPECT_EQ(store.stats().appends,
                   static_cast<std::size_t>(kSessionRecords - kept));
@@ -261,10 +277,11 @@ TEST(CrashMatrix, StoreHeaderWriteSurvivesEveryByteBoundary) {
     FailPointSpec spec;
     spec.partial_bytes = b;
     FailPoints::instance().arm("store.journal.header", spec);
-    EXPECT_THROW(serve::EvaluationStore store(path), CrashInjected);
+    EXPECT_THROW(serve::EvaluationStore store(path, single_file()),
+                 CrashInjected);
     FailPoints::instance().reset();
 
-    serve::EvaluationStore store(path);
+    serve::EvaluationStore store(path, single_file());
     EXPECT_EQ(store.size(), 0u);
     record_nth(store, 1);
     EXPECT_EQ(store.stats().appends, 1u);
@@ -360,13 +377,15 @@ TEST(CrashMatrix, CompactionCrashLeavesOldOrNewJournal) {
     FailPointSpec spec;
     spec.partial_bytes = partial;
     FailPoints::instance().arm(point, spec);
-    EXPECT_THROW(serve::EvaluationStore store(path), CrashInjected) << point;
+    EXPECT_THROW(serve::EvaluationStore store(path, single_file()),
+                 CrashInjected)
+        << point;
     FailPoints::instance().reset();
 
     // Old-or-new, never torn: whatever is on disk replays to the same
     // two live records (and the interrupted compaction reruns if the old
     // file survived).
-    serve::EvaluationStore store(path);
+    serve::EvaluationStore store(path, single_file());
     EXPECT_EQ(store.size(), 2u) << point;
     ASSERT_TRUE(store.lookup("fp", {1}, 0).has_value()) << point;
     ASSERT_TRUE(store.lookup("fp", {2}, 0).has_value()) << point;
@@ -383,7 +402,7 @@ TEST(CorruptionFuzz, EveryRecordSkippedWithCountedReasonWhenBitFlipped) {
   constexpr int kRecords = 8;
   const std::string path = temp_path("fuzz.jsonl");
   {
-    serve::EvaluationStore store(path);
+    serve::EvaluationStore store(path, single_file());
     for (int n = 1; n <= kRecords; ++n) record_nth(store, n);
   }
   const std::string pristine = read_file(path);
@@ -406,7 +425,7 @@ TEST(CorruptionFuzz, EveryRecordSkippedWithCountedReasonWhenBitFlipped) {
     damaged[victim] ^= 0x10;
     write_file(path, damaged);
 
-    serve::EvaluationStore store(path);
+    serve::EvaluationStore store(path, single_file());
     const auto stats = store.stats();
     EXPECT_GE(stats.skipped_records, 1u) << "record " << n;
     EXPECT_FALSE(stats.skip_reasons.empty()) << "record " << n;
