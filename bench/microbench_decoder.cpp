@@ -12,6 +12,7 @@
 // smoke runs). A run given --benchmark_filter skips those passes.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <iostream>
 #include <memory>
@@ -60,11 +61,20 @@ comm::DecoderSpec make_spec(comm::DecoderKind kind, int k) {
 
 constexpr std::size_t kBenchBits = 4'096;
 
+/// The multires spec at M = states / divisor: the design search's M
+/// values (ViterbiMetaCore's M_frac = 1/8 ... 1), where make_spec's fixed
+/// M = 8 sits below the smallest M_frac at K = 9.
+comm::DecoderSpec make_m_frac_spec(int k, int divisor) {
+  comm::DecoderSpec spec = make_spec(comm::DecoderKind::Multires, k);
+  spec.num_high_res_paths =
+      std::max(1, spec.code.num_states() / std::max(1, divisor));
+  return spec;
+}
+
 /// Block API: one decode_block call over the whole stream (what
 /// Decoder::decode and the BER pipeline do).
-void run_decoder_block(benchmark::State& state, comm::DecoderKind kind) {
-  const int k = static_cast<int>(state.range(0));
-  const comm::DecoderSpec spec = make_spec(kind, k);
+void run_decoder_block(benchmark::State& state,
+                       const comm::DecoderSpec& spec) {
   const Workload workload(spec, kBenchBits);
   auto decoder = spec.make_decoder(workload.trellis, 1.0, workload.sigma);
   std::vector<int> out(kBenchBits);
@@ -97,6 +107,11 @@ void run_decoder_step(benchmark::State& state, comm::DecoderKind kind) {
   state.SetItemsProcessed(state.iterations() * kBenchBits);
 }
 
+void run_decoder_block(benchmark::State& state, comm::DecoderKind kind) {
+  run_decoder_block(state,
+                    make_spec(kind, static_cast<int>(state.range(0))));
+}
+
 void BM_HardDecode(benchmark::State& state) {
   run_decoder_block(state, comm::DecoderKind::Hard);
 }
@@ -105,6 +120,12 @@ void BM_SoftDecode(benchmark::State& state) {
 }
 void BM_MultiresDecode(benchmark::State& state) {
   run_decoder_block(state, comm::DecoderKind::Multires);
+}
+/// BM_MultiresDecodeMFrac/K/divisor: M = states / divisor.
+void BM_MultiresDecodeMFrac(benchmark::State& state) {
+  run_decoder_block(state,
+                    make_m_frac_spec(static_cast<int>(state.range(0)),
+                                     static_cast<int>(state.range(1))));
 }
 void BM_HardDecodeStep(benchmark::State& state) {
   run_decoder_step(state, comm::DecoderKind::Hard);
@@ -119,6 +140,9 @@ void BM_MultiresDecodeStep(benchmark::State& state) {
 BENCHMARK(BM_HardDecode)->Arg(3)->Arg(5)->Arg(7)->Arg(9);
 BENCHMARK(BM_SoftDecode)->Arg(3)->Arg(5)->Arg(7)->Arg(9);
 BENCHMARK(BM_MultiresDecode)->Arg(3)->Arg(5)->Arg(7)->Arg(9);
+BENCHMARK(BM_MultiresDecodeMFrac)
+    ->Args({3, 8})->Args({3, 1})->Args({5, 8})->Args({5, 1})
+    ->Args({7, 8})->Args({7, 1})->Args({9, 8})->Args({9, 1});
 BENCHMARK(BM_HardDecodeStep)->Arg(3)->Arg(5)->Arg(7)->Arg(9);
 BENCHMARK(BM_SoftDecodeStep)->Arg(3)->Arg(5)->Arg(7)->Arg(9);
 BENCHMARK(BM_MultiresDecodeStep)->Arg(3)->Arg(5)->Arg(7)->Arg(9);
@@ -283,8 +307,8 @@ void append_simd_vs_scalar_records() {
 }
 
 /// The lock-step frame kernel itself, built directly: make_frame_decoder
-/// serves one lane with the single-stream decoder instead, and the one-lane
-/// rows keep timing the kernel it replaces there.
+/// serves one and two lanes with single-stream decoders instead, and those
+/// rows keep timing the kernel they replace there.
 std::unique_ptr<comm::FrameDecoder> make_frame_kernel(
     const comm::DecoderSpec& spec, const Workload& workload,
     std::size_t lanes) {
@@ -331,8 +355,31 @@ double time_frames(comm::FrameDecoder& decoder, const Workload& workload,
   return static_cast<double>(decoded) / seconds;
 }
 
+/// Lock-step decoding of `lanes` copies of the workload through what
+/// make_frame_decoder builds; items count every lane's bits.
+void run_frames(benchmark::State& state, const comm::DecoderSpec& spec,
+                std::size_t lanes) {
+  const Workload workload(spec, kBenchBits);
+  auto decoder =
+      spec.make_frame_decoder(workload.trellis, 1.0, workload.sigma, lanes);
+  std::vector<int> out(lanes * kBenchBits);
+  std::vector<const double*> rx_ptrs(lanes, workload.rx.data());
+  std::vector<int*> out_ptrs(lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    out_ptrs[l] = out.data() + l * kBenchBits;
+  }
+  for (auto _ : state) {
+    decoder->reset();
+    benchmark::DoNotOptimize(
+        decoder->decode_chunk(rx_ptrs.data(), kBenchBits, out_ptrs.data()));
+  }
+  state.SetItemsProcessed(state.iterations() * kBenchBits * lanes);
+}
+
 /// Registers one frame-parallel benchmark per decoder kind and kernel tier
-/// (BM_<Kind>DecodeFrames_<isa>/K) at the tier's natural lane count.
+/// (BM_<Kind>DecodeFrames_<isa>/K) at the tier's natural lane count, plus
+/// the multires rows at the search's M values
+/// (BM_MultiresDecodeFramesMFrac_<isa>/K/divisor, M = states / divisor).
 void register_frame_benchmarks() {
   struct KindEntry {
     comm::DecoderKind kind;
@@ -350,27 +397,28 @@ void register_frame_benchmarks() {
           [kind = entry.kind, isa](benchmark::State& state) {
             IsaGuard guard;
             comm::simd::force_isa(isa);
-            const int k = static_cast<int>(state.range(0));
-            const comm::DecoderSpec spec = make_spec(kind, k);
-            const Workload workload(spec, kBenchBits);
-            const std::size_t lanes = comm::simd::natural_frame_lanes(isa);
-            auto decoder = spec.make_frame_decoder(workload.trellis, 1.0,
-                                                   workload.sigma, lanes);
-            std::vector<int> out(lanes * kBenchBits);
-            std::vector<const double*> rx_ptrs(lanes, workload.rx.data());
-            std::vector<int*> out_ptrs(lanes);
-            for (std::size_t l = 0; l < lanes; ++l) {
-              out_ptrs[l] = out.data() + l * kBenchBits;
-            }
-            for (auto _ : state) {
-              decoder->reset();
-              benchmark::DoNotOptimize(decoder->decode_chunk(
-                  rx_ptrs.data(), kBenchBits, out_ptrs.data()));
-            }
-            state.SetItemsProcessed(state.iterations() * kBenchBits * lanes);
+            run_frames(state,
+                       make_spec(kind, static_cast<int>(state.range(0))),
+                       comm::simd::natural_frame_lanes(isa));
           })
           ->Arg(7);
     }
+    const std::string name = std::string("BM_MultiresDecodeFramesMFrac_") +
+                             comm::simd::to_string(isa);
+    benchmark::RegisterBenchmark(
+        name.c_str(),
+        [isa](benchmark::State& state) {
+          IsaGuard guard;
+          comm::simd::force_isa(isa);
+          run_frames(state,
+                     make_m_frac_spec(static_cast<int>(state.range(0)),
+                                      static_cast<int>(state.range(1))),
+                     comm::simd::natural_frame_lanes(isa));
+        })
+        ->Args({7, 8})
+        ->Args({7, 1})
+        ->Args({9, 8})
+        ->Args({9, 1});
   }
 }
 
@@ -378,10 +426,10 @@ void register_frame_benchmarks() {
 /// lock-step lane decoding vs decoding the same frames sequentially through
 /// the single-frame block API, per (kind, K, kernel tier, lane count). Both
 /// sides are timed in the same session on the same workload, so the speedup
-/// column is a direct apples-to-apples ratio. The one-lane row also times
-/// what make_frame_decoder builds at one lane (the single-stream decoder
-/// behind the FrameDecoder adapter), which should match the sequential
-/// rate.
+/// column is a direct apples-to-apples ratio. The one- and two-lane rows
+/// also time what make_frame_decoder builds there (one single-stream
+/// decoder per lane behind the FrameDecoder adapter), which should match
+/// the sequential rate.
 void append_frame_parallel_records() {
   const std::size_t total_bits = bench::quick_mode() ? 16'384 : 262'144;
   const auto isas = available_isas();
@@ -423,10 +471,10 @@ void append_frame_parallel_records() {
                     << " b/s, frames "
                     << static_cast<std::uint64_t>(frame_bps) << " b/s, "
                     << frame_bps / sequential_bps << "x";
-          if (lanes == 1) {
+          if (lanes <= 2) {
             const double made_bps = time_frames(
                 *spec.make_frame_decoder(workload.trellis, 1.0,
-                                         workload.sigma, 1),
+                                         workload.sigma, lanes),
                 workload, total_bits);
             record.values["make_frame_decoder_bits_per_second"] = made_bps;
             record.values["make_frame_decoder_vs_sequential"] =

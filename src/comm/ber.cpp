@@ -45,37 +45,53 @@ std::unique_ptr<Decoder> DecoderSpec::make_decoder(const Trellis& trellis,
 
 namespace {
 
-/// The single-stream decoder as a one-lane FrameDecoder. At one lane the
-/// state-parallel kernels of ViterbiDecoder / MultiresViterbiDecoder
-/// outrun the lock-step frame kernels, whose vector width is the lane axis
-/// (EXPERIMENTS.md, one-lane table), and both decode the same bits.
-/// Decoder::flush() is not const, but both
-/// concrete flush() methods only read the survivor window, so the
-/// read-only FrameDecoder::flush contract holds.
+/// Lane counts below this decode faster as that many single-stream
+/// decoders than through one lock-step frame kernel: on the AVX2 and
+/// AVX-512 tiers a 2-lane kernel decodes hard and soft K=9 at 0.56-0.74x of
+/// two sequential decodes, while from 4 lanes up the kernels are at least
+/// even (EXPERIMENTS.md, lane table).
+constexpr std::size_t kMinFrameKernelLanes = 4;
+
+/// A narrow lane group as one single-stream decoder per lane, behind the
+/// FrameDecoder interface. Each lane's state-parallel kernel runs on its
+/// own, and decodes the same bits the lock-step kernel would.
+/// Decoder::flush() is not const, but both concrete flush() methods only
+/// read the survivor window, so the read-only FrameDecoder::flush contract
+/// holds.
 template <typename SingleStream>
 class SingleStreamFrameDecoder final : public FrameDecoder {
  public:
   template <typename... Args>
-  explicit SingleStreamFrameDecoder(Args&&... args)
-      : decoder_(std::forward<Args>(args)...) {}
+  explicit SingleStreamFrameDecoder(std::size_t lanes, const Args&... args) {
+    decoders_.reserve(lanes);
+    for (std::size_t l = 0; l < lanes; ++l) decoders_.emplace_back(args...);
+  }
 
-  std::size_t lanes() const override { return 1; }
+  std::size_t lanes() const override { return decoders_.size(); }
   std::size_t decode_chunk(const double* const* rx, std::size_t steps,
                            int* const* out) override {
     const auto n = static_cast<std::size_t>(trellis().symbols_per_step());
-    return decoder_.decode_block({rx[0], steps * n}, {out[0], steps});
+    std::size_t written = 0;
+    for (std::size_t l = 0; l < decoders_.size(); ++l) {
+      written = decoders_[l].decode_block({rx[l], steps * n}, {out[l], steps});
+    }
+    return written;
   }
-  std::vector<int> flush(std::size_t) const override {
-    return decoder_.flush();
+  std::vector<int> flush(std::size_t lane) const override {
+    return decoders_[lane].flush();
   }
-  void reset() override { decoder_.reset(); }
-  std::int64_t normalizations(std::size_t) const override {
-    return decoder_.normalizations();
+  void reset() override {
+    for (auto& decoder : decoders_) decoder.reset();
   }
-  const Trellis& trellis() const override { return decoder_.trellis(); }
+  std::int64_t normalizations(std::size_t lane) const override {
+    return decoders_[lane].normalizations();
+  }
+  const Trellis& trellis() const override {
+    return decoders_.front().trellis();
+  }
 
  private:
-  mutable SingleStream decoder_;
+  mutable std::vector<SingleStream> decoders_;
 };
 
 }  // namespace
@@ -92,9 +108,9 @@ std::unique_ptr<FrameDecoder> DecoderSpec::make_frame_decoder(
               ? Quantizer(QuantizationMethod::Hard, 1, amplitude, noise_sigma)
               : Quantizer(quantization, high_res_bits, amplitude,
                           noise_sigma);
-      if (lanes == 1) {
+      if (lanes < kMinFrameKernelLanes) {
         return std::make_unique<SingleStreamFrameDecoder<ViterbiDecoder>>(
-            trellis, traceback_depth, quantizer);
+            lanes, trellis, traceback_depth, quantizer);
       }
       return std::make_unique<FrameViterbiDecoder>(trellis, traceback_depth,
                                                    quantizer, lanes);
@@ -103,10 +119,10 @@ std::unique_ptr<FrameDecoder> DecoderSpec::make_frame_decoder(
       MultiresConfig config{traceback_depth, low_res_bits, high_res_bits,
                             quantization, num_high_res_paths,
                             normalization_terms};
-      if (lanes == 1) {
+      if (lanes < kMinFrameKernelLanes) {
         return std::make_unique<
             SingleStreamFrameDecoder<MultiresViterbiDecoder>>(
-            trellis, config, amplitude, noise_sigma);
+            lanes, trellis, config, amplitude, noise_sigma);
       }
       return std::make_unique<FrameMultiresDecoder>(trellis, config, amplitude,
                                                     noise_sigma, lanes);

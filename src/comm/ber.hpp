@@ -49,10 +49,10 @@ struct DecoderSpec {
 
   /// Builds the decoder for `lanes` independent frames, each lane
   /// bit-identical to the decoder make_decoder would build (see
-  /// comm/frame_decode.hpp): the lock-step frame-parallel kernel for two or
-  /// more lanes, and at one lane the make_decoder decoder itself behind a
-  /// FrameDecoder adapter, because its state-parallel kernel is faster
-  /// there. `lanes == 0` resolves via default_frame_lanes().
+  /// comm/frame_decode.hpp): the lock-step frame-parallel kernel for four
+  /// or more lanes, and below that one make_decoder decoder per lane behind
+  /// a FrameDecoder adapter, because their state-parallel kernels are
+  /// faster there. `lanes == 0` resolves via default_frame_lanes().
   std::unique_ptr<FrameDecoder> make_frame_decoder(const Trellis& trellis,
                                                    double amplitude,
                                                    double noise_sigma,
@@ -100,8 +100,9 @@ struct BerRunConfig {
   /// axis; see comm/frame_decode.hpp). 0 = auto (default_frame_lanes(),
   /// i.e. the dispatched ISA's vector width or the METACORE_LANES
   /// override). Shards are grouped to fill the thread pool first and the
-  /// lanes second (frames x threads x lanes); a group of one shard, which
-  /// `lanes = 1` forces, runs on the single-stream decoder. Because every
+  /// lanes second (frames x threads x lanes); a group of fewer than four
+  /// shards, which `lanes` < 4 forces, runs one single-stream decoder per
+  /// shard (make_frame_decoder). Because every
   /// lane is bit-identical to a standalone decoder, this knob NEVER changes
   /// the measurement — only its throughput.
   int lanes = 0;

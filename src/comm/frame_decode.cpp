@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <limits>
-#include <numeric>
 #include <span>
 #include <stdexcept>
 
@@ -250,8 +248,9 @@ FrameMultiresDecoder::FrameMultiresDecoder(const Trellis& trellis,
            config.low_res_bits, amplitude, noise_sigma),
       high_(config.method, config.high_res_bits, amplitude, noise_sigma),
       lanes_(lanes),
+      refiner_(config, static_cast<std::size_t>(trellis.num_states()),
+               lanes),
       norm_threshold_(detail::kMultiresNormalizeThreshold) {
-  config_.validate(trellis_->num_states());
   if (lanes_ < 1) {
     throw std::invalid_argument("FrameMultiresDecoder: lanes must be >= 1");
   }
@@ -266,9 +265,9 @@ FrameMultiresDecoder::FrameMultiresDecoder(const Trellis& trellis,
   block_levels_low_.resize(lanes_ * kSubChunkSteps * n);
   block_levels_high_.resize(lanes_ * kSubChunkSteps * n);
   scaled_low_metric_by_pattern_.resize((std::size_t{1} << n) * lanes_);
+  high_metric_by_pattern_.resize(scaled_low_metric_by_pattern_.size());
   winning_scaled_metric_.resize(states * lanes_);
-  order_.resize(states);
-  high_metrics_.resize(static_cast<std::size_t>(config_.num_high_res_paths));
+  floor_.resize(lanes_);
   best_state_.resize(lanes_);
   tb_state_.resize(lanes_);
   tb_bit_.resize(lanes_);
@@ -283,38 +282,6 @@ void FrameMultiresDecoder::reset() {
   std::fill(normalizations_.begin(), normalizations_.end(), 0);
 }
 
-int FrameMultiresDecoder::high_branch_metric(std::uint32_t expected_symbols,
-                                             const int* levels) const {
-  const auto n = static_cast<std::size_t>(trellis_->symbols_per_step());
-  int metric = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    metric += high_.branch_metric(
-        levels[j], static_cast<int>((expected_symbols >> j) & 1u));
-  }
-  return metric;
-}
-
-void FrameMultiresDecoder::fill_scaled_low_metric_tables(
-    std::size_t step_in_chunk) {
-  const auto zero_row = low_.metric_table(0);
-  const auto one_row = low_.metric_table(1);
-  const auto n = static_cast<std::size_t>(trellis_->symbols_per_step());
-  const std::size_t patterns = std::size_t{1} << n;
-  const std::size_t slab = kSubChunkSteps * n;
-  for (std::size_t l = 0; l < lanes_; ++l) {
-    const int* levels =
-        block_levels_low_.data() + l * slab + step_in_chunk * n;
-    for (std::size_t p = 0; p < patterns; ++p) {
-      int metric = 0;
-      for (std::size_t j = 0; j < n; ++j) {
-        const auto level = static_cast<std::size_t>(levels[j]);
-        metric += ((p >> j) & 1u) ? one_row[level] : zero_row[level];
-      }
-      scaled_low_metric_by_pattern_[p * lanes_ + l] = scale_ * metric;
-    }
-  }
-}
-
 std::size_t FrameMultiresDecoder::decode_chunk(const double* const* rx,
                                                std::size_t steps,
                                                int* const* out) {
@@ -324,7 +291,6 @@ std::size_t FrameMultiresDecoder::decode_chunk(const double* const* rx,
   const std::uint32_t* pred_symbols = trellis_->pred_symbols().data();
   const simd::FrameMultiresAcsFn acs = simd::frame_multires_acs();
   const std::size_t slab = kSubChunkSteps * n;
-  const int m = config_.num_high_res_paths;
 
   std::size_t written = 0;
   for (std::size_t done = 0; done < steps;) {
@@ -338,7 +304,16 @@ std::size_t FrameMultiresDecoder::decode_chunk(const double* const* rx,
           std::span<int>(block_levels_high_.data() + l * slab, sub * n));
     }
     for (std::size_t i = 0; i < sub; ++i) {
-      fill_scaled_low_metric_tables(i);
+      for (std::size_t l = 0; l < lanes_; ++l) {
+        const std::size_t at = l * slab + i * n;
+        detail::fill_metric_by_pattern(
+            low_, block_levels_low_.data() + at, n, scale_,
+            scaled_low_metric_by_pattern_.data() + l, lanes_);
+        detail::fill_metric_by_pattern(high_, block_levels_high_.data() + at,
+                                       n, 1.0,
+                                       high_metric_by_pattern_.data() + l,
+                                       lanes_);
+      }
 
       std::uint8_t* survivor_row =
           survivors_.data() +
@@ -348,63 +323,23 @@ std::size_t FrameMultiresDecoder::decode_chunk(const double* const* rx,
       acs(acc_.data(), next_acc_.data(), pred_state, pred_symbols,
           scaled_low_metric_by_pattern_.data(), survivor_row,
           winning_scaled_metric_.data(), states, lanes_);
-
-      // Phase 2, scalar per lane (it is O(M), not O(states * lanes)): the
-      // exact single-frame refinement — same partial_sort over the same
-      // metric values yields the same best-M order, high-res recompute,
-      // and correction term, so each lane's refined metrics are
-      // bit-identical to its standalone decoder's.
-      for (std::size_t l = 0; l < lanes_; ++l) {
-        const int* high_levels =
-            block_levels_high_.data() + l * slab + i * n;
-        std::iota(order_.begin(), order_.end(), 0u);
-        std::partial_sort(order_.begin(), order_.begin() + m, order_.end(),
-                          [&](std::uint32_t a, std::uint32_t b) {
-                            return next_acc_[a * lanes_ + l] <
-                                   next_acc_[b * lanes_ + l];
-                          });
-        double correction = 0.0;
-        for (int idx = 0; idx < m; ++idx) {
-          const std::uint32_t s = order_[static_cast<std::size_t>(idx)];
-          const std::size_t branch = 2 * s + survivor_row[s * lanes_ + l];
-          high_metrics_[static_cast<std::size_t>(idx)] = static_cast<double>(
-              high_branch_metric(pred_symbols[branch], high_levels));
-          if (idx < config_.normalization_terms) {
-            correction += high_metrics_[static_cast<std::size_t>(idx)] -
-                          winning_scaled_metric_[s * lanes_ + l];
-          }
-        }
-        correction /= static_cast<double>(config_.normalization_terms);
-        for (int idx = 0; idx < m; ++idx) {
-          const std::uint32_t s = order_[static_cast<std::size_t>(idx)];
-          const std::size_t branch = 2 * s + survivor_row[s * lanes_ + l];
-          next_acc_[s * lanes_ + l] =
-              acc_[pred_state[branch] * lanes_ + l] +
-              high_metrics_[static_cast<std::size_t>(idx)] - correction;
-        }
-      }
-
+      // Phase 2: the single-frame decoder's M-best refinement, per lane.
+      refiner_.refine(*trellis_, acc_.data(), next_acc_.data(), survivor_row,
+                      winning_scaled_metric_.data(),
+                      high_metric_by_pattern_.data(), floor_.data(),
+                      best_state_.data());
       acc_.swap(next_acc_);
       ++steps_;
 
-      // Per-lane fused floor scan (strict <, first argmin — min_element
-      // semantics) and renormalization, exactly the single-frame epilogue.
+      // Per-lane renormalization on the lane's own floor, exactly the
+      // single-frame epilogue.
       for (std::size_t l = 0; l < lanes_; ++l) {
-        double floor = std::numeric_limits<double>::infinity();
-        std::uint32_t best_s = 0;
-        for (std::size_t s = 0; s < states; ++s) {
-          if (acc_[s * lanes_ + l] < floor) {
-            floor = acc_[s * lanes_ + l];
-            best_s = static_cast<std::uint32_t>(s);
-          }
-        }
-        if (floor > norm_threshold_) {
+        if (floor_[l] > norm_threshold_) {
           for (std::size_t s = 0; s < states; ++s) {
-            acc_[s * lanes_ + l] -= floor;
+            acc_[s * lanes_ + l] -= floor_[l];
           }
           ++normalizations_[l];
         }
-        best_state_[l] = best_s;
       }
 
       if (steps_ >= config_.traceback_depth) {

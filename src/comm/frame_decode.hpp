@@ -7,13 +7,14 @@
 // state-parallel kernels saturate only at large constraint lengths, while
 // the lane axis is full-width at any K because the lanes are independent
 // streams, the batching idiom production basestation decoders use. The
-// lane axis pays off only from two lanes up: at one lane the lock-step
+// lane axis pays off only from four lanes up: at one lane the lock-step
 // kernel is slower than the single-stream decoder's state-parallel kernel
-// at every kind, K and tier, so DecoderSpec::make_frame_decoder (comm/ber.hpp)
-// serves one lane with the single-stream decoder behind a FrameDecoder
-// adapter and builds the classes below for two or more lanes. They still
-// accept one lane when constructed directly, as the equivalence tests and
-// the decoder microbenchmark do.
+// at every kind, K and tier, and at two lanes it still loses at K=9 on the
+// AVX2 and AVX-512 tiers. So DecoderSpec::make_frame_decoder (comm/ber.hpp)
+// serves fewer than four lanes with one single-stream decoder per lane
+// behind a FrameDecoder adapter and builds the classes below for four or
+// more. They still accept any lane count when constructed directly, as the
+// equivalence tests and the decoder microbenchmark do.
 //
 // Every lane is bit-identical to a standalone single-frame decoder fed the
 // same samples: the kernels replicate the scalar compare-select semantics
@@ -137,10 +138,10 @@ class FrameViterbiDecoder final : public FrameDecoder {
 };
 
 /// Frame-parallel counterpart of MultiresViterbiDecoder: the low-res ACS
-/// phase runs through the lane-parallel kernel; the O(M) high-resolution
-/// refinement and the correction term stay scalar per lane, replicating
-/// the single-frame phase 2 exactly (same partial_sort over the same
-/// values, so the same best-M order and the same refined metrics).
+/// phase runs through the lane-parallel kernel, and the high-resolution
+/// refinement of the M best paths is the single-frame decoder's own
+/// detail::MBestRefiner run over all lanes, so each lane selects the same
+/// M best states and refines them to the same metrics.
 class FrameMultiresDecoder final : public FrameDecoder {
  public:
   FrameMultiresDecoder(const Trellis& trellis, const MultiresConfig& config,
@@ -165,16 +166,13 @@ class FrameMultiresDecoder final : public FrameDecoder {
   }
 
  private:
-  int high_branch_metric(std::uint32_t expected_symbols,
-                         const int* levels) const;
-  void fill_scaled_low_metric_tables(std::size_t step_in_chunk);
-
   const Trellis* trellis_;
   MultiresConfig config_;
   Quantizer low_;
   Quantizer high_;
   double scale_;
   std::size_t lanes_;
+  detail::MBestRefiner refiner_;  ///< constructing it validates config_
 
   std::vector<double> acc_;       ///< lane-major: entry s * lanes + l
   std::vector<double> next_acc_;
@@ -182,9 +180,9 @@ class FrameMultiresDecoder final : public FrameDecoder {
   std::vector<int> block_levels_low_;   ///< per-lane slabs
   std::vector<int> block_levels_high_;  ///< per-lane slabs
   std::vector<double> scaled_low_metric_by_pattern_;  ///< pattern * lanes + l
+  std::vector<double> high_metric_by_pattern_;        ///< pattern * lanes + l
   std::vector<double> winning_scaled_metric_;         ///< s * lanes + l
-  std::vector<std::uint32_t> order_;   ///< per-lane best-M selection scratch
-  std::vector<double> high_metrics_;   ///< per-lane phase-2 scratch
+  std::vector<double> floor_;              ///< per-lane renormalization floor
   std::vector<std::uint32_t> best_state_;  ///< per-lane traceback start
   std::vector<std::uint32_t> tb_state_;    ///< traceback scratch
   std::vector<int> tb_bit_;                ///< traceback scratch

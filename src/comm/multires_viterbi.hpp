@@ -44,6 +44,78 @@ struct MultiresConfig {
   void validate(int num_states) const;
 };
 
+namespace detail {
+/// One lane's branch metrics for one trellis step, one entry per expected
+/// symbol pattern: out[p * stride] = scale * (the summed metric of the n
+/// quantized `levels` against pattern p), rounded once. Both phases of both
+/// multiresolution decoders read their metrics from such tables.
+void fill_metric_by_pattern(const Quantizer& quantizer, const int* levels,
+                            std::size_t n, double scale, double* out,
+                            std::size_t stride);
+
+/// A path metric with its state, ordered by (metric, state): the total
+/// order that ranks the M best states.
+struct RankedState {
+  double metric;
+  std::uint32_t state;
+
+  friend bool operator<(const RankedState& a, const RankedState& b) {
+    return a.metric < b.metric || (a.metric == b.metric && a.state < b.state);
+  }
+};
+
+/// Phase 2 of a multiresolution step (Section 3.3), written once for
+/// `lanes` independent frames laid out lane-major (state s of lane l at
+/// s * lanes + l); the single-frame decoder is the one-lane case.
+///
+/// A lane's M best states are its M smallest (metric, state) pairs: every
+/// state whose metric is below the M-th smallest metric, then the
+/// lowest-numbered states at that metric. Only the N best are put in
+/// order, for the correction sum. Because this order is explicit, the
+/// refined metrics depend on no sort's treatment of ties.
+class MBestRefiner {
+ public:
+  /// Validates `config` for `states` states (MultiresConfig::validate).
+  MBestRefiner(const MultiresConfig& config, std::size_t states,
+               std::size_t lanes);
+
+  /// Selects the M best states of lane `lane` of `metrics`.
+  void select(const double* metrics, std::size_t lane);
+  /// The M best states of the last select(), in no particular order.
+  std::span<const std::uint32_t> selected() const {
+    return {selected_.data(), m_};
+  }
+  /// The N best states of the last select(), in (metric, state) order.
+  std::span<const RankedState> ordered() const {
+    return {ranked_.data(), n_};
+  }
+
+  /// Refines every lane after the low-resolution ACS: for each of a lane's
+  /// M best states in `next_acc`, the surviving branch's metric is
+  /// recomputed from `high_metric_by_pattern` (entry pattern * lanes + l)
+  /// less the lane's correction term, the mean (high - scaled low) metric
+  /// difference over its N best states. Writes each lane's smallest
+  /// refined metric to floor[l] and its first state to best_state[l].
+  void refine(const Trellis& trellis, const double* acc, double* next_acc,
+              const std::uint8_t* survivor_row,
+              const double* winning_scaled_metric,
+              const double* high_metric_by_pattern, double* floor,
+              std::uint32_t* best_state);
+
+ private:
+  std::size_t states_;
+  std::size_t m_ = 0;
+  std::size_t n_ = 0;
+  std::size_t lanes_;
+  std::vector<std::uint32_t> selected_;      ///< M best; scratch past them
+  std::vector<RankedState> ranked_;          ///< best by insertion, in order
+  std::vector<double> keys_;                 ///< one lane's metrics
+  std::vector<std::uint32_t> bucket_;        ///< scratch, per state
+  std::vector<std::uint32_t> bucket_count_;  ///< scratch, per bucket
+  std::vector<RankedState> candidates_;      ///< scratch
+};
+}  // namespace detail
+
 class MultiresViterbiDecoder final : public Decoder {
  public:
   MultiresViterbiDecoder(const Trellis& trellis, const MultiresConfig& config,
@@ -52,10 +124,10 @@ class MultiresViterbiDecoder final : public Decoder {
   std::optional<int> step(std::span<const double> rx) override;
   /// Batched kernel: one virtual call per chunk, whole-chunk batch
   /// quantization at both resolutions, the low-resolution ACS core routed
-  /// through the dispatched state-parallel SIMD kernel (the O(M) high-res
-  /// refinement stays scalar), and a single fused scan for the
-  /// renormalization floor and the traceback start state. Bit-identical to
-  /// the step() loop on every ISA tier.
+  /// through the dispatched state-parallel SIMD kernel, and the M-best
+  /// refinement (detail::MBestRefiner), which also finds the
+  /// renormalization floor and the traceback start state.
+  /// Bit-identical to the step() loop on every ISA tier.
   std::size_t decode_block(std::span<const double> rx,
                            std::span<int> out) override;
   std::vector<int> flush() override;
@@ -86,14 +158,11 @@ class MultiresViterbiDecoder final : public Decoder {
   }
 
  private:
-  int high_branch_metric(std::uint32_t expected_symbols,
-                         const int* levels) const;
-  void fill_scaled_low_metric_table(const int* levels);
-  /// Phases 1+2 of one trellis step on pre-quantized symbols (high-res
-  /// levels via `high_levels`, phase-1 ACS through `acs`, resolved once per
-  /// chunk by the callers); returns the traceback start state (argmin of
-  /// the updated accumulated errors).
-  std::uint32_t advance_one_step(const int* high_levels,
+  /// Phases 1+2 of one trellis step on pre-quantized symbols at both
+  /// resolutions (phase-1 ACS through `acs`, resolved once per chunk by the
+  /// callers); returns the traceback start state (argmin of the updated
+  /// accumulated errors).
+  std::uint32_t advance_one_step(const int* low_levels, const int* high_levels,
                                  simd::MultiresAcsFn acs);
   int traceback_bit_from(std::uint32_t state) const;
 
@@ -118,11 +187,12 @@ class MultiresViterbiDecoder final : public Decoder {
   /// multiplied by scale_ (the SIMD ACS kernel consumes pure adds, which
   /// keeps every tier bit-identical — no fusable multiply in the loop).
   std::vector<double> scaled_low_metric_by_pattern_;
+  /// Scratch, per symbol pattern: high-resolution branch metric.
+  std::vector<double> high_metric_by_pattern_;
   /// Per-state scaled low-res metric of the surviving branch (phase 2's
   /// correction term subtracts it from the high-res recompute).
   std::vector<double> winning_scaled_metric_;
-  std::vector<std::uint32_t> order_;     ///< scratch for best-M selection
-  std::vector<double> high_metrics_;     ///< scratch for phase-2 recompute
+  detail::MBestRefiner refiner_;  ///< constructing it validates config_
   std::int64_t steps_ = 0;
   double norm_threshold_;
   std::int64_t normalizations_ = 0;

@@ -359,12 +359,13 @@ TEST(FrameDecoder, FlushIsReadOnlyAtEveryBoundary) {
 }
 
 // ---------------------------------------------------------------------------
-// One lane: make_frame_decoder serves it with the single-stream decoder
-// behind a FrameDecoder adapter, while the frame kernels still accept one
-// lane when built directly. Both must decode every frame exactly as the
-// standalone decoder does, with a read-only flush after every chunk.
+// Narrow groups (one to three lanes): make_frame_decoder serves them with
+// one single-stream decoder per lane behind a FrameDecoder adapter, while
+// the frame kernels still accept those lane counts when built directly.
+// Both must decode every frame exactly as the standalone decoder does,
+// with a read-only flush after every chunk.
 
-TEST(FrameDecoder, OneLaneAdapterAndOneLaneKernelMatchTheStandaloneDecoder) {
+TEST(FrameDecoder, NarrowGroupAdapterAndKernelMatchTheStandaloneDecoder) {
   constexpr std::size_t kSteps = 2'000;
   IsaGuard guard;
   for (const DecoderKind kind :
@@ -372,56 +373,76 @@ TEST(FrameDecoder, OneLaneAdapterAndOneLaneKernelMatchTheStandaloneDecoder) {
     const DecoderSpec spec = make_spec(kind, 5);
     const Trellis trellis(spec.code);
     double sigma = 0.5;
-    const std::vector<double> frame =
-        noisy_frame(spec.code, kSteps, 1.0, 17, &sigma);
-    const std::vector<int> reference =
-        spec.make_decoder(trellis, 1.0, sigma)->decode(frame);
+    std::vector<std::vector<double>> frames;
+    std::vector<std::vector<int>> reference;
+    for (std::size_t l = 0; l < 3; ++l) {
+      frames.push_back(noisy_frame(spec.code, kSteps, 1.0, 17 + l, &sigma));
+      reference.push_back(
+          spec.make_decoder(trellis, 1.0, sigma)->decode(frames.back()));
+    }
 
     const auto decode = [&](FrameDecoder& decoder) {
-      std::vector<int> bits(kSteps);
+      const std::size_t lanes = decoder.lanes();
+      std::vector<std::vector<int>> bits(lanes, std::vector<int>(kSteps));
+      std::vector<const double*> rx(lanes);
+      std::vector<int*> out(lanes);
       std::size_t emitted = 0;
       for (std::size_t begin = 0; begin < kSteps; begin += 300) {
         const std::size_t steps = std::min<std::size_t>(300, kSteps - begin);
-        const double* rx = frame.data() + begin * 2;
-        int* out = bits.data() + emitted;
-        emitted += decoder.decode_chunk(&rx, steps, &out);
-        (void)decoder.flush(0);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          rx[l] = frames[l].data() + begin * 2;
+          out[l] = bits[l].data() + emitted;
+        }
+        emitted += decoder.decode_chunk(rx.data(), steps, out.data());
+        for (std::size_t l = 0; l < lanes; ++l) (void)decoder.flush(l);
       }
-      bits.resize(emitted);
-      const auto tail = decoder.flush(0);
-      bits.insert(bits.end(), tail.begin(), tail.end());
+      for (std::size_t l = 0; l < lanes; ++l) {
+        bits[l].resize(emitted);
+        const auto tail = decoder.flush(l);
+        bits[l].insert(bits[l].end(), tail.begin(), tail.end());
+      }
       return bits;
     };
 
-    const auto adapter = spec.make_frame_decoder(trellis, 1.0, sigma, 1);
-    ASSERT_EQ(adapter->lanes(), 1u);
-    EXPECT_EQ(dynamic_cast<FrameViterbiDecoder*>(adapter.get()), nullptr);
-    EXPECT_EQ(dynamic_cast<FrameMultiresDecoder*>(adapter.get()), nullptr);
-    EXPECT_EQ(decode(*adapter), reference) << to_string(kind);
-    adapter->reset();
-    EXPECT_EQ(decode(*adapter), reference) << to_string(kind) << " reset";
+    for (const std::size_t lanes : {1u, 2u, 3u}) {
+      const std::vector<std::vector<int>> want(
+          reference.begin(),
+          reference.begin() + static_cast<std::ptrdiff_t>(lanes));
+      const std::string where =
+          to_string(kind) + " lanes=" + std::to_string(lanes);
+      const auto adapter = spec.make_frame_decoder(trellis, 1.0, sigma, lanes);
+      ASSERT_EQ(adapter->lanes(), lanes);
+      EXPECT_EQ(dynamic_cast<FrameViterbiDecoder*>(adapter.get()), nullptr);
+      EXPECT_EQ(dynamic_cast<FrameMultiresDecoder*>(adapter.get()), nullptr);
+      EXPECT_EQ(decode(*adapter), want) << where;
+      adapter->reset();
+      EXPECT_EQ(decode(*adapter), want) << where << " reset";
 
-    for (const auto isa : available_isas()) {
-      simd::force_isa(isa);
-      std::unique_ptr<FrameDecoder> kernel;
-      if (kind == DecoderKind::Multires) {
-        const MultiresConfig config{
-            spec.traceback_depth,    spec.low_res_bits,
-            spec.high_res_bits,      spec.quantization,
-            spec.num_high_res_paths, spec.normalization_terms};
-        kernel = std::make_unique<FrameMultiresDecoder>(trellis, config, 1.0,
-                                                        sigma, 1);
-      } else {
-        const Quantizer quantizer =
-            kind == DecoderKind::Hard
-                ? Quantizer(QuantizationMethod::Hard, 1, 1.0, sigma)
-                : Quantizer(spec.quantization, spec.high_res_bits, 1.0, sigma);
-        kernel = std::make_unique<FrameViterbiDecoder>(
-            trellis, spec.traceback_depth, quantizer, 1);
+      for (const auto isa : available_isas()) {
+        simd::force_isa(isa);
+        std::unique_ptr<FrameDecoder> kernel;
+        if (kind == DecoderKind::Multires) {
+          const MultiresConfig config{
+              spec.traceback_depth,    spec.low_res_bits,
+              spec.high_res_bits,      spec.quantization,
+              spec.num_high_res_paths, spec.normalization_terms};
+          kernel = std::make_unique<FrameMultiresDecoder>(trellis, config,
+                                                          1.0, sigma, lanes);
+        } else {
+          const Quantizer quantizer =
+              kind == DecoderKind::Hard
+                  ? Quantizer(QuantizationMethod::Hard, 1, 1.0, sigma)
+                  : Quantizer(spec.quantization, spec.high_res_bits, 1.0,
+                              sigma);
+          kernel = std::make_unique<FrameViterbiDecoder>(
+              trellis, spec.traceback_depth, quantizer, lanes);
+        }
+        EXPECT_EQ(decode(*kernel), want)
+            << where << " " << simd::to_string(isa);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          EXPECT_EQ(kernel->normalizations(l), adapter->normalizations(l));
+        }
       }
-      EXPECT_EQ(decode(*kernel), reference)
-          << to_string(kind) << " " << simd::to_string(isa);
-      EXPECT_EQ(kernel->normalizations(0), adapter->normalizations(0));
     }
   }
 }

@@ -313,7 +313,10 @@ TEST(Renormalization, MultiresStepAndBlockAgreeAcrossRenorms) {
 // Golden measure_ber values captured from the pre-kernel (per-step,
 // allocating) pipeline. The batched allocation-free pipeline must reproduce
 // every (successes, trials) pair bit-for-bit, for every decoder kind, shard
-// count, and thread count.
+// count, and thread count. Three multires rows (K=5 shards=8, K=9 shards=1,
+// K=9 shards=8) were re-recorded when the M best paths became the M
+// smallest (metric, state) pairs: these are the values the earlier
+// partial_sort gives once its comparator breaks metric ties by state.
 
 struct GoldenBer {
   DecoderKind kind;
@@ -345,11 +348,11 @@ constexpr GoldenBer kGolden[] = {
     {DecoderKind::Multires, 3, 1, 8ull, 20000ull, 4ull, 8192ull},
     {DecoderKind::Multires, 3, 8, 24ull, 20000ull, 62ull, 65536ull},
     {DecoderKind::Multires, 5, 1, 11ull, 20000ull, 0ull, 8192ull},
-    {DecoderKind::Multires, 5, 8, 0ull, 20000ull, 4ull, 65536ull},
+    {DecoderKind::Multires, 5, 8, 5ull, 20000ull, 12ull, 65536ull},
     {DecoderKind::Multires, 7, 1, 0ull, 20000ull, 0ull, 8192ull},
     {DecoderKind::Multires, 7, 8, 3ull, 20000ull, 6ull, 65536ull},
-    {DecoderKind::Multires, 9, 1, 11ull, 20000ull, 11ull, 8192ull},
-    {DecoderKind::Multires, 9, 8, 0ull, 20000ull, 1ull, 65536ull},
+    {DecoderKind::Multires, 9, 1, 3ull, 20000ull, 3ull, 8192ull},
+    {DecoderKind::Multires, 9, 8, 0ull, 20000ull, 2ull, 65536ull},
 };
 
 /// Restores the configured global pool size on scope exit.

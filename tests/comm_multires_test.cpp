@@ -2,7 +2,11 @@
 // algorithmic contribution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "comm/ber.hpp"
 #include "comm/channel.hpp"
@@ -198,6 +202,113 @@ TEST(MultiresViterbi, ResetRestoresInitialState) {
   decoder.reset();
   const auto second = decoder.decode(rx);
   EXPECT_EQ(first, second);
+}
+
+// The M-best selection of phase 2 against std::sort over (metric, state)
+// pairs. Metrics drawn from {0, 1, 2, unreachable} make ties at the M-th
+// metric the common case; one pass uses distinct metrics instead. Every M
+// from 1 to all states runs through both ranking methods (insertion for
+// small M, value buckets otherwise), with lane strides 1-16.
+
+/// What one select() picked: the M best states as a sorted set, and the N
+/// best in order.
+struct Selection {
+  std::vector<std::uint32_t> selected;
+  std::vector<std::pair<double, std::uint32_t>> ordered;
+};
+
+/// Selects lane `lane` of `metrics` and checks the result against std::sort
+/// over the lane's (metric, state) pairs.
+Selection checked_select(detail::MBestRefiner& refiner,
+                         const std::vector<double>& metrics,
+                         std::size_t states, std::size_t lanes,
+                         std::size_t lane, std::size_t m, std::size_t n,
+                         const std::string& where) {
+  std::vector<std::pair<double, std::uint32_t>> pairs;
+  for (std::size_t s = 0; s < states; ++s) {
+    pairs.emplace_back(metrics[s * lanes + lane],
+                       static_cast<std::uint32_t>(s));
+  }
+  std::sort(pairs.begin(), pairs.end());
+  std::vector<std::uint32_t> want_selected;
+  for (std::size_t i = 0; i < m; ++i) want_selected.push_back(pairs[i].second);
+  std::sort(want_selected.begin(), want_selected.end());
+  pairs.resize(n);
+
+  refiner.select(metrics.data(), lane);
+  Selection got;
+  got.selected.assign(refiner.selected().begin(), refiner.selected().end());
+  std::sort(got.selected.begin(), got.selected.end());
+  for (const auto& best : refiner.ordered()) {
+    got.ordered.emplace_back(best.metric, best.state);
+  }
+  EXPECT_EQ(got.selected, want_selected) << where;
+  EXPECT_EQ(got.ordered, pairs) << where;
+  return got;
+}
+
+TEST(MBestRefiner, SelectionMatchesSortedMetricStatePairs) {
+  util::Random rng(515);
+  const double kTieHeavy[] = {0.0, 1.0, 2.0, detail::kMultiresUnreachable};
+  for (const bool tie_heavy : {true, false}) {
+    for (const std::size_t states : {4u, 16u, 64u, 256u}) {
+      for (std::size_t n = 1; n <= 4; ++n) {
+        for (const std::size_t m : {std::size_t{1}, n, states / 8, states / 4,
+                                    states / 2, states - 1, states}) {
+          if (m < n) continue;
+          MultiresConfig config;
+          config.num_high_res_paths = static_cast<int>(m);
+          config.normalization_terms = static_cast<int>(n);
+          for (std::size_t lanes = 1; lanes <= 16; ++lanes) {
+            const std::string where =
+                "states=" + std::to_string(states) + " M=" +
+                std::to_string(m) + " N=" + std::to_string(n) +
+                " lanes=" + std::to_string(lanes) +
+                (tie_heavy ? " tie-heavy" : " distinct");
+            detail::MBestRefiner refiner(config, states, lanes);
+            std::vector<double> metrics(states * lanes);
+            for (auto& v : metrics) {
+              v = tie_heavy ? kTieHeavy[rng.uniform_index(4)]
+                            : rng.uniform(0.0, 100.0);
+            }
+            const std::size_t lane = rng.uniform_index(lanes);
+            const Selection got = checked_select(refiner, metrics, states,
+                                                 lanes, lane, m, n, where);
+
+            // The same metrics on permuted states: the selected metrics
+            // and the N best metrics do not change.
+            std::vector<std::size_t> perm(states);
+            for (std::size_t s = 0; s < states; ++s) perm[s] = s;
+            for (std::size_t s = states - 1; s > 0; --s) {
+              std::swap(perm[s], perm[rng.uniform_index(s + 1)]);
+            }
+            std::vector<double> permuted = metrics;
+            for (std::size_t s = 0; s < states; ++s) {
+              permuted[perm[s] * lanes + lane] = metrics[s * lanes + lane];
+            }
+            const Selection moved =
+                checked_select(refiner, permuted, states, lanes, lane, m, n,
+                               where + " permuted");
+            std::vector<double> got_metrics;
+            std::vector<double> moved_metrics;
+            for (std::size_t i = 0; i < m; ++i) {
+              got_metrics.push_back(metrics[got.selected[i] * lanes + lane]);
+              moved_metrics.push_back(
+                  permuted[moved.selected[i] * lanes + lane]);
+            }
+            std::sort(got_metrics.begin(), got_metrics.end());
+            std::sort(moved_metrics.begin(), moved_metrics.end());
+            EXPECT_EQ(moved_metrics, got_metrics) << where << " permuted";
+            for (std::size_t i = 0; i < n; ++i) {
+              EXPECT_EQ(moved.ordered[i].first, got.ordered[i].first)
+                  << where << " permuted";
+            }
+            if (testing::Test::HasFailure()) return;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

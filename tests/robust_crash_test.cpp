@@ -30,15 +30,21 @@ namespace {
 
 #ifdef METACORE_FAILPOINTS
 
-std::string temp_path(const char* name) {
-  const std::string path = testing::TempDir() + "/" + name;
+/// Removes everything a store or checkpoint at `path` leaves behind: the
+/// file, its compaction temp file, and the sharded layout (`path.d/`) that
+/// a run under METACORE_STORE_SHARDS creates.
+void remove_store_files(const std::string& path) {
   std::remove(path.c_str());
   std::remove((path + ".tmp").c_str());
-  // Also clear a sharded layout (`path.d/`) that a run under
-  // METACORE_STORE_SHARDS may have left behind: it would replay into the
-  // next run's store.
   std::error_code ec;
   std::filesystem::remove_all(path + ".d", ec);
+}
+
+/// A fresh path in the test temp dir: leftovers of an earlier run would
+/// replay into this run's store.
+std::string temp_path(const char* name) {
+  const std::string path = testing::TempDir() + "/" + name;
+  remove_store_files(path);
   return path;
 }
 
@@ -96,7 +102,7 @@ std::string reference_journal(const std::string& dir_tag, int k) {
     for (int n = 1; n <= k; ++n) record_nth(store, n);
   }
   const std::string bytes = read_file(path);
-  std::remove(path.c_str());
+  remove_store_files(path);
   return bytes;
 }
 
@@ -253,7 +259,7 @@ TEST(CrashMatrix, StoreJournalSurvivesEveryByteBoundary) {
                   static_cast<std::size_t>(kSessionRecords - kept));
       }
       ASSERT_EQ(read_file(path), golden) << "record " << n << " byte " << b;
-      std::remove(path.c_str());
+      remove_store_files(path);
       ++points_enumerated;
     }
   }
@@ -285,7 +291,7 @@ TEST(CrashMatrix, StoreHeaderWriteSurvivesEveryByteBoundary) {
     EXPECT_EQ(store.size(), 0u);
     record_nth(store, 1);
     EXPECT_EQ(store.stats().appends, 1u);
-    std::remove(path.c_str());
+    remove_store_files(path);
   }
 }
 
@@ -347,8 +353,7 @@ TEST(CrashMatrix, CheckpointFlushIsAtomicAtEveryBoundary) {
     save_checkpoint(path, new_cp);
     EXPECT_EQ(read_file(path), new_bytes) << boundary.point;
   }
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
+  remove_store_files(path);
 }
 
 // Compaction publishes through the same atomic-replace: a crash at any of
@@ -390,8 +395,7 @@ TEST(CrashMatrix, CompactionCrashLeavesOldOrNewJournal) {
     ASSERT_TRUE(store.lookup("fp", {1}, 0).has_value()) << point;
     ASSERT_TRUE(store.lookup("fp", {2}, 0).has_value()) << point;
     EXPECT_EQ(store.stats().skipped_records, 0u) << point;
-    std::remove(path.c_str());
-    std::remove((path + ".tmp").c_str());
+    remove_store_files(path);
   }
 }
 
@@ -438,7 +442,7 @@ TEST(CorruptionFuzz, EveryRecordSkippedWithCountedReasonWhenBitFlipped) {
     EXPECT_EQ(store.size(), static_cast<std::size_t>(kRecords - 1))
         << "record " << n;
   }
-  std::remove(path.c_str());
+  remove_store_files(path);
 }
 
 // --- Injected I/O errors: retry-with-backoff, then degraded mode.
@@ -464,7 +468,7 @@ TEST(IoErrors, TransientAppendFailureRetriesAndSucceeds) {
 
   serve::EvaluationStore reopened(path);
   EXPECT_EQ(reopened.size(), 2u);
-  std::remove(path.c_str());
+  remove_store_files(path);
 }
 
 TEST(IoErrors, DeadDeviceDegradesToReadOnlyAndCompactRecovers) {
@@ -507,7 +511,7 @@ TEST(IoErrors, DeadDeviceDegradesToReadOnlyAndCompactRecovers) {
   record_nth(store, 4);
   serve::EvaluationStore recovered(path);
   EXPECT_EQ(recovered.size(), 4u);
-  std::remove(path.c_str());
+  remove_store_files(path);
 }
 
 TEST(IoErrors, SearchSucceedsOverDegradedStore) {
@@ -552,7 +556,7 @@ TEST(IoErrors, SearchSucceedsOverDegradedStore) {
   EXPECT_EQ(stats.appends, 0u);
   // The evaluations still landed in memory for this process's reuse.
   EXPECT_EQ(store->size(), stats.dropped_writes);
-  std::remove(path.c_str());
+  remove_store_files(path);
 }
 
 #else  // !METACORE_FAILPOINTS
